@@ -49,6 +49,7 @@ DeviationEngine::DeviationEngine(const Game& game, StrategyProfile profile)
              "profile/game size mismatch");
   rebuild_adjacency();
   caches_.resize(static_cast<std::size_t>(game.node_count()));
+  edit_log_.resize(kEditLogCapacity);
   profile_hash_ = zobrist_profile_hash(profile_);
   dial_bound_ = game.host().dial_weight_bound();
 }
@@ -79,10 +80,24 @@ void DeviationEngine::rebuild_adjacency() {
 }
 
 void DeviationEngine::link(int a, int b) {
-  adjacency_.link(a, b, game_->weight(a, b));
+  const double w = game_->weight(a, b);
+  adjacency_.link(a, b, w);
+  log_edit(a, b, w, true);
 }
 
-void DeviationEngine::unlink(int a, int b) { adjacency_.unlink(a, b); }
+void DeviationEngine::unlink(int a, int b) {
+  adjacency_.unlink(a, b);
+  log_edit(a, b, game_->weight(a, b), false);
+}
+
+void DeviationEngine::log_edit(int a, int b, double w, bool inserted) {
+  EdgeEdit& slot = edit_log_[edits_logged_ % kEditLogCapacity];
+  // Overwriting the oldest edit uncovers every row older than its stamp.
+  if (edits_logged_ >= kEditLogCapacity)
+    log_floor_ = std::max(log_floor_, slot.stamp);
+  slot = {epoch_ + 1, a, b, w, inserted};
+  ++edits_logged_;
+}
 
 void DeviationEngine::add_buy(int u, int v) {
   GNCG_CHECK(game_->can_buy(u, v), "engine add_buy of a forbidden edge");
@@ -201,12 +216,20 @@ void DeviationEngine::set_profile(StrategyProfile profile) {
   rebuild_adjacency();
   profile_hash_ = zobrist_profile_hash(profile_);
   ++epoch_;
+  log_floor_ = epoch_;  // the rebuild is not logged: every row refills
   GNCG_COUNT(kEngineEpochBumps);
 }
 
 const DeviationEngine::AgentCache& DeviationEngine::ensure(int u) {
   AgentCache& cache = caches_[idx(u)];
-  if (cache.epoch != epoch_) {
+  if (cache.epoch == epoch_) {
+    GNCG_COUNT(kEngineCacheHits);
+    return cache;
+  }
+  if (cache.epoch >= log_floor_) {
+    GNCG_COUNT(kEngineRowRepairs);
+    repair(u, cache);
+  } else {
     GNCG_COUNT(kEngineCacheMisses);
     arena_sssp(cache.dist, game_->node_count(), u, dial_bound_,
                [&](int y, auto&& visit) {
@@ -216,11 +239,99 @@ const DeviationEngine::AgentCache& DeviationEngine::ensure(int u) {
     double total = 0.0;
     for (double d : cache.dist) total += d;
     cache.dist_sum = total;
-    cache.epoch = epoch_;
-  } else {
-    GNCG_COUNT(kEngineCacheHits);
   }
+  cache.epoch = epoch_;
   return cache;
+}
+
+void DeviationEngine::repair(int u, AgentCache& cache) const {
+  const int n = game_->node_count();
+  ScratchArena::RepairScratch& rs = worker_arena().repair();
+  std::vector<double>& d = cache.dist;
+
+  // The edits stamped after the row's epoch (the ring still holds them all:
+  // the caller checked cache.epoch >= log_floor_).
+  const std::uint64_t oldest =
+      edits_logged_ - std::min<std::uint64_t>(edits_logged_, kEditLogCapacity);
+  std::uint64_t begin = edits_logged_;
+  while (begin > oldest &&
+         edit_log_[(begin - 1) % kEditLogCapacity].stamp > cache.epoch)
+    --begin;
+  const auto for_each_edit = [&](auto&& fn) {
+    for (std::uint64_t i = begin; i < edits_logged_; ++i)
+      fn(edit_log_[i % kEditLogCapacity]);
+  };
+
+  // Deletions.  A node whose old shortest-path tree path crosses a deleted
+  // edge is reachable, through tight edges (fl(d(x) + w) == d(y), old
+  // values), from the far endpoint of a tight deleted edge; the tree edges
+  // past it are tight deleted edges (marked here directly) or edges of the
+  // current graph.  Marking that closure leaves every unmarked node a
+  // surviving tight path, hence its old distance.  Every logged deletion
+  // is checked, including edges later re-added or never in the row's
+  // graph: extra marks are conservative.  The source is never marked: its
+  // distance is 0 in every graph.
+  if (rs.affected_mark.size() != static_cast<std::size_t>(n))
+    rs.affected_mark.assign(static_cast<std::size_t>(n), 0);
+  rs.affected.clear();
+  const auto mark_if_tight = [&](int x, int y, double w) {
+    if (y == u || rs.affected_mark[idx(y)] != 0) return;
+    if (!(d[idx(x)] < kInf && d[idx(x)] + w == d[idx(y)])) return;
+    rs.affected_mark[idx(y)] = 1;
+    rs.affected.push_back(y);
+  };
+  for_each_edit([&](const EdgeEdit& e) {
+    if (e.inserted) return;
+    mark_if_tight(e.a, e.b, e.weight);
+    mark_if_tight(e.b, e.a, e.weight);
+  });
+  for (std::size_t i = 0; i < rs.affected.size(); ++i) {
+    const int x = rs.affected[i];
+    for (const auto& nb : adjacency_.neighbors(x))
+      mark_if_tight(x, nb.to, nb.weight);
+  }
+
+  // Reset the marked nodes and seed each from its unmarked neighbours in
+  // the current graph, then offer every logged insertion whose edge is
+  // still built, in both directions.  One decrease-only Dijkstra over the
+  // current graph settles both: every value it leaves is a real path's
+  // rounded length and satisfies every edge constraint, so the row is the
+  // current graph's least fixpoint -- bitwise what a refill computes.
+  std::uint64_t relaxations = 0;
+  std::vector<detail::HeapEntry>& heap = rs.heap;
+  heap.clear();
+  const auto relax = [&](int y, double cand) {
+    if (!(cand < d[idx(y)])) return;
+    ++relaxations;
+    d[idx(y)] = cand;
+    heap.emplace_back(cand, y);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  };
+  for (int x : rs.affected) d[idx(x)] = kInf;
+  for (int x : rs.affected)
+    for (const auto& nb : adjacency_.neighbors(x))
+      if (rs.affected_mark[idx(nb.to)] == 0)
+        relax(x, d[idx(nb.to)] + nb.weight);
+  for_each_edit([&](const EdgeEdit& e) {
+    if (!e.inserted || !profile_.has_edge(e.a, e.b)) return;
+    relax(e.b, d[idx(e.a)] + e.weight);
+    relax(e.a, d[idx(e.b)] + e.weight);
+  });
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [dx, x] = heap.back();
+    heap.pop_back();
+    if (dx > d[idx(x)]) continue;  // stale entry
+    for (const auto& nb : adjacency_.neighbors(x)) relax(nb.to, dx + nb.weight);
+  }
+  GNCG_COUNT_N(kEngineRepairRelaxations, relaxations);
+
+  const bool changed = !rs.affected.empty() || relaxations > 0;
+  for (int x : rs.affected) rs.affected_mark[idx(x)] = 0;
+  if (!changed) return;  // the row, and so its sum, is bitwise unchanged
+  double total = 0.0;
+  for (double x : d) total += x;
+  cache.dist_sum = total;
 }
 
 const DeviationEngine::AgentCache& DeviationEngine::warmed(int u) const {

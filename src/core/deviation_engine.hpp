@@ -12,7 +12,9 @@
 //    leave the distance caches valid.
 //  * It caches one SSSP distance vector per agent, invalidated lazily via a
 //    topology epoch: a mutation bumps the epoch, and each agent's vector is
-//    recomputed only when next queried.
+//    brought up to date only when next queried -- *repaired* from an edge
+//    edit log when the log still covers the row's epoch, refilled by one
+//    Dijkstra otherwise (see "Row repair" below).
 //  * Single-move deviations are evaluated by *delta* where an exact closed
 //    form exists, and by a buffer-reusing Dijkstra otherwise:
 //      - addition (u,x):  d'(u,t) = min(d(u,t), w(u,x) + d(x,t)) over the
@@ -39,12 +41,28 @@
 // real-weighted hosts results agree up to floating-point associativity (see
 // tests/test_deviation_engine.cpp for the differential contract).
 //
-// Invalidation contract (for code building on the engine): `distances(u)` /
-// `distance_cost(u)` / `agent_cost(u)` are valid only until the next
-// topology mutation; references returned by `distances`/`adjacency` are
-// invalidated by any mutation.  `*_warm` members require `warm_distances()`
-// after the last mutation and are const + thread-safe, which is what the
-// dynamics scheduler's parallel proposal batching runs on.
+// Invalidation contract (for code building on the engine): every topology
+// mutation still bumps the epoch, so `distances(u)` / `distance_cost(u)` /
+// `agent_cost(u)` are valid only until the next topology mutation, and
+// references returned by `distances`/`adjacency` are invalidated by any
+// mutation.  `*_warm` members require `warm_distances()` after the last
+// mutation and are const + thread-safe, which is what the dynamics
+// scheduler's parallel proposal batching runs on.
+//
+// Row repair: `link`/`unlink` append every built-topology edge edit,
+// stamped with the epoch it bumps to, to a fixed-capacity edit log.  A
+// stale row whose epoch the log still covers is repaired lazily inside
+// ensure(u) from the edits logged since (Ramalingam-Reps style dynamic
+// SSSP): nodes reached from a deleted edge through tight edges
+// (fl(d(x) + w) == d(y)) are reset and re-seeded from their unaffected
+// neighbours, inserted edges are relaxed, and one decrease-only Dijkstra
+// settles both.  The result is the least fixpoint d(t) = min over edges
+// (x,t) of fl(d(x) + w) of the current graph, hence bitwise equal to a
+// refill.  Rows older than the log, never-filled rows and every row after
+// set_profile (which resets the log floor) refill.  Double-ownership
+// changes leave the topology alone and log nothing.  Any new
+// topology-mutation path must go through link/unlink (or reset the log
+// floor), or stale rows would be repaired against a wrong edit set.
 //
 // The engine also maintains the Zobrist ownership hash of its profile
 // (core/transposition.hpp) incrementally: every ownership mutation --
@@ -73,6 +91,10 @@ namespace gncg {
 
 class DeviationEngine {
  public:
+  /// Edge edits the log keeps: enough for a parallel-MGM round's batch.  A
+  /// row staler than the log refills.
+  static constexpr std::size_t kEditLogCapacity = 256;
+
   /// Takes ownership of `profile` and materializes its adjacency once.
   DeviationEngine(const Game& game, StrategyProfile profile);
 
@@ -183,10 +205,20 @@ class DeviationEngine {
   double cost_of_strategy(int u, const NodeSet& targets) const;
 
  private:
+  /// One built-topology edge edit, stamped with the epoch it bumps the
+  /// engine to.
+  struct EdgeEdit {
+    std::uint64_t stamp = 0;
+    int a = 0;
+    int b = 0;
+    double weight = 0.0;
+    bool inserted = false;
+  };
+
   struct AgentCache {
     std::vector<double> dist;
     double dist_sum = 0.0;
-    std::uint64_t epoch = 0;  ///< topology epoch the cache was filled at
+    std::uint64_t epoch = 0;  ///< topology epoch the row is valid at
   };
 
   struct ScanFlags {
@@ -203,9 +235,11 @@ class DeviationEngine {
     return profile_.buys(u, t) && !profile_.buys(t, u);
   }
 
-  /// Inserts / removes the undirected adjacency entry for (a, b).
+  /// Inserts / removes the undirected adjacency entry for (a, b) and logs
+  /// the edit, stamped with the epoch the caller is about to bump to.
   void link(int a, int b);
   void unlink(int a, int b);
+  void log_edit(int a, int b, double w, bool inserted);
 
   /// set_strategy body without the per-edge epoch bumps: updates ownership,
   /// hash and adjacency, and returns whether the built topology changed
@@ -220,6 +254,10 @@ class DeviationEngine {
 
   const AgentCache& warmed(int u) const;
   const AgentCache& ensure(int u);
+
+  /// Brings agent u's stale row (epoch >= log_floor_) up to the current
+  /// epoch from the logged edits; bitwise equal to a refill.
+  void repair(int u, AgentCache& cache) const;
 
   /// Warm-cache body of addition_distance_cost (shared with scan_moves).
   double addition_distance_cost_warm(int u, int x) const;
@@ -253,6 +291,13 @@ class DeviationEngine {
   CsrAdjacency adjacency_;
   std::vector<AgentCache> caches_;
   std::uint64_t epoch_ = 1;
+  /// Ring of the last kEditLogCapacity edge edits (edit i at slot
+  /// i % capacity); edits_logged_ counts every edit ever appended.
+  std::vector<EdgeEdit> edit_log_;
+  std::uint64_t edits_logged_ = 0;
+  /// Rows at an epoch >= log_floor_ are covered by the log: every edit
+  /// stamped after their epoch is still in the ring.
+  std::uint64_t log_floor_ = 1;
   std::uint64_t profile_hash_ = 0;
   int dial_bound_ = 0;  ///< bucket-queue weight bound; 0 = use the heap
 };

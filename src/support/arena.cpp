@@ -14,6 +14,9 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += owned_targets_.capacity() * sizeof(int);
   total += side_mark_.capacity() * sizeof(char);
   total += dfs_stack_.capacity() * sizeof(int);
+  total += repair_.affected_mark.capacity() * sizeof(char);
+  total += repair_.affected.capacity() * sizeof(int);
+  total += repair_.heap.capacity() * sizeof(detail::HeapEntry);
   total += br_.order.capacity() * sizeof(std::pair<double, int>);
   total += br_.candidates.capacity() * sizeof(int);
   total += (br_.weights.capacity() + br_.base_dist.capacity() +

@@ -9,7 +9,7 @@
 //   * the binary-heap and bucket-queue Dijkstra workspaces,
 //   * the IncrementalSssp instance best-response branches repair,
 //   * the deviation engine's scan scratch (owned-target list, side marks,
-//     DFS stack, distance-sum vector),
+//     DFS stack, distance-sum vector) and its row-repair scratch,
 //   * the best-response driver's candidate/weight/base-distance rows.
 //
 // `worker_arena()` hands the calling thread its arena, creating and
@@ -65,6 +65,19 @@ class ScratchArena {
   /// Explicit DFS stack for reachability sweeps.
   std::vector<int>& dfs_stack() { return dfs_stack_; }
 
+  // --- deviation-engine row repair scratch ---
+  //
+  // Its own partition: a repair runs inside the engine's ensure(), which
+  // callers reach between scans, so it must not alias the scan buffers or
+  // the Dijkstra workspaces a refill on the same thread uses.
+
+  struct RepairScratch {
+    std::vector<char> affected_mark;  ///< per node; all zero between repairs
+    std::vector<int> affected;  ///< marked nodes, also the marking worklist
+    std::vector<detail::HeapEntry> heap;  ///< decrease-only Dijkstra queue
+  };
+  RepairScratch& repair() { return repair_; }
+
   // --- best-response driver scratch ---
 
   struct BrScratch {
@@ -109,6 +122,7 @@ class ScratchArena {
   std::vector<int> owned_targets_;
   std::vector<char> side_mark_;
   std::vector<int> dfs_stack_;
+  RepairScratch repair_;
   BrScratch br_;
   LadderScratch ladder_;
 };

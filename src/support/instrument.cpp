@@ -60,6 +60,8 @@ const char* counter_name(Counter counter) {
     case Counter::kMgmProposals: return "mgm_proposals";
     case Counter::kMgmConflictDrops: return "mgm_conflict_drops";
     case Counter::kMgmCommits: return "mgm_commits";
+    case Counter::kEngineRowRepairs: return "engine_row_repairs";
+    case Counter::kEngineRepairRelaxations: return "engine_repair_relaxations";
     case Counter::kCount: break;
   }
   return "unknown";

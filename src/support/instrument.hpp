@@ -122,6 +122,12 @@ enum class Counter : int {
   kMgmConflictDrops,  ///< shard winners dropped by conflict-set overlap
   kMgmCommits,        ///< moves committed (winners surviving selection)
 
+  // Deviation-engine row repair (core/deviation_engine.cpp): stale rows the
+  // edit log still covers are repaired instead of refilled, so
+  // kEngineCacheMisses keeps meaning "full refill".
+  kEngineRowRepairs,         ///< stale rows repaired from the edit log
+  kEngineRepairRelaxations,  ///< distance decreases during row repairs
+
   kCount
 };
 

@@ -9,6 +9,9 @@
 // future per-call vector, to_vector(), or std::function sneaking into the
 // scan/SSSP paths turns this red.
 //
+// Each mutation leaves every row one epoch stale, so warm_distances() runs
+// the engine's edit-log row repair; the probe asserts that path was taken.
+//
 // The probe runs the pool at one thread: parallel_for dispatch itself
 // allocates (a std::function per region), which is out of scope -- the
 // contract is about the per-item work, which is what executes on workers.
@@ -24,6 +27,7 @@
 #include "graph/dijkstra.hpp"
 #include "metric/host_graph.hpp"
 #include "support/arena.hpp"
+#include "support/instrument.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -97,13 +101,21 @@ TEST(ArenaProbe, SteadyStateMoveEvaluationDoesNotAllocate) {
   // steady-state capacity.
   for (int i = 0; i < 3; ++i) checksum_first = iteration();
 
+  constexpr std::size_t kRepairs =
+      static_cast<std::size_t>(instrument::Counter::kEngineRowRepairs);
+  const std::uint64_t repairs_before = instrument::thread_counters()[kRepairs];
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   double checksum_probe = 0.0;
   for (int i = 0; i < 4; ++i) checksum_probe = iteration();
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t repairs_after = instrument::thread_counters()[kRepairs];
 
   EXPECT_EQ(after - before, 0u)
       << "steady-state engine loop performed heap allocations";
+  // The stale rows took the edit-log repair path, so the gate covers it.
+  if (instrument::compiled_in()) {
+    EXPECT_GT(repairs_after, repairs_before);
+  }
   // Same mutations, same caches -> identical results (and the compiler
   // cannot elide the probe loop).
   EXPECT_DOUBLE_EQ(checksum_probe, checksum_first);

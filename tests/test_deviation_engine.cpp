@@ -11,10 +11,16 @@
 // The fuzz axes: random games (four host families) x random profiles (trees
 // and trees-plus-chords, random ownership, double ownership) x random move
 // sequences (add_buy / remove_buy / set_strategy / apply_move).
+//
+// The DeviationEngineRepair suite gates the edit-log row repair: after any
+// mutation sequence, every row a stale engine serves (repaired or refilled)
+// is bitwise equal to a fresh engine's refill on the same profile.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -23,7 +29,12 @@
 #include "core/deviation_engine.hpp"
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
+#include "core/profile_gen.hpp"
 #include "metric/host_graph.hpp"
+#include "metric/points.hpp"
+#include "metric/tree.hpp"
+#include "support/instrument.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace gncg {
@@ -324,6 +335,350 @@ TEST(DeviationEngine, MoveConflictSetCoversTouchedEndpoints) {
   expected.erase(std::unique(expected.begin(), expected.end()),
                  expected.end());
   EXPECT_EQ(conflict, expected);
+}
+
+// --- row repair (edit log) -------------------------------------------------
+
+using instrument::Counter;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Host families of the repair suite: dense 1-2 (dial kernel), dense
+/// integer weights in {0..3} (dial with zero-weight edges), lazy closure
+/// over real weights with zero-weight pairs (heap), euclidean (heap) and
+/// tree.
+constexpr int kRepairFamilies = 5;
+
+Game repair_game(int family, int n, Rng& rng) {
+  const double alpha = rng.uniform_real(0.5, 4.0);
+  switch (family) {
+    case 0:
+      return Game(random_one_two_host(n, 0.5, rng), alpha);
+    case 1:
+    case 2: {
+      DistanceMatrix weights(n, 0.0);
+      for (int u = 0; u < n; ++u)
+        for (int v = u + 1; v < n; ++v) {
+          const double w =
+              family == 1 ? static_cast<double>(rng.uniform_int(0, 3))
+                          : (rng.bernoulli(0.2) ? 0.0
+                                                : rng.uniform_real(0.5, 9.5));
+          weights.set_symmetric(u, v, w);
+        }
+      return family == 1 ? Game(HostGraph::from_weights(std::move(weights)),
+                                alpha)
+                         : Game(HostGraph::from_weights_lazy(std::move(weights)),
+                                alpha);
+    }
+    case 3:
+      return Game(HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0),
+                  alpha);
+    default:
+      return Game(HostGraph::from_tree(random_tree(n, rng)), alpha);
+  }
+}
+
+/// Rows of `agents`, served by `engine` in the given order, must be bitwise
+/// equal to a fresh engine's refill of the same profile.
+void expect_rows_match_fresh(DeviationEngine& engine,
+                             const std::vector<int>& agents) {
+  DeviationEngine fresh(engine.game(), engine.profile());
+  for (int u : agents) {
+    const std::vector<double> got = engine.distances(u);
+    const std::vector<double>& want = fresh.distances(u);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t t = 0; t < got.size(); ++t)
+      ASSERT_EQ(bits(got[t]), bits(want[t]))
+          << "agent " << u << " target " << t << ": " << got[t] << " vs "
+          << want[t];
+    ASSERT_EQ(bits(engine.distance_cost(u)), bits(fresh.distance_cost(u)))
+        << "agent " << u;
+  }
+}
+
+std::vector<int> all_agents(int n) {
+  std::vector<int> agents(static_cast<std::size_t>(n));
+  for (int u = 0; u < n; ++u) agents[static_cast<std::size_t>(u)] = u;
+  return agents;
+}
+
+int random_other(int u, int n, Rng& rng) {
+  int x = u;
+  while (x == u) x = static_cast<int>(rng.uniform_below(n));
+  return x;
+}
+
+/// A uniformly random edge agent u buys, or -1.
+int random_owned(const StrategyProfile& s, int u, Rng& rng) {
+  const std::vector<int> owned = s.strategy(u).to_vector();
+  if (owned.empty()) return -1;
+  return owned[rng.uniform_below(owned.size())];
+}
+
+/// Sparse random strategy (about two targets) so deletions keep cutting
+/// bridges.
+NodeSet random_strategy(int u, int n, Rng& rng) {
+  NodeSet next(n);
+  for (int t = 0; t < n; ++t)
+    if (t != u && rng.bernoulli(2.0 / n)) next.insert(t);
+  return next;
+}
+
+/// One random mutation through every public mutation path (all hosts of
+/// the suite are complete, so every pair is purchasable).
+void random_mutation(DeviationEngine& engine, Rng& rng) {
+  const int n = engine.game().node_count();
+  const StrategyProfile& s = engine.profile();
+  const int u = static_cast<int>(rng.uniform_below(n));
+  switch (rng.uniform_below(7)) {
+    case 0:
+      engine.add_buy(u, random_other(u, n, rng));
+      break;
+    case 1:
+    case 2: {
+      const int v = random_owned(s, u, rng);
+      if (v >= 0) engine.remove_buy(u, v);
+      break;
+    }
+    case 3: {
+      const int v = random_owned(s, u, rng);
+      const int x = random_other(u, n, rng);
+      if (v >= 0 && x != v && !s.buys(u, x))
+        engine.apply_move(u, {MoveType::kSwap, v, x});
+      break;
+    }
+    case 4:
+      engine.set_strategy(u, random_strategy(u, n, rng));
+      break;
+    case 5: {
+      std::vector<std::pair<int, NodeSet>> batch;
+      for (int a = 0; a < n; ++a)
+        if (rng.bernoulli(0.3)) batch.emplace_back(a, random_strategy(a, n, rng));
+      engine.set_strategies(batch);
+      break;
+    }
+    default: {
+      // Double-ownership toggle: flips who pays for an edge someone else
+      // already buys; the topology is unchanged.
+      const int v = random_other(u, n, rng);
+      if (!s.buys(v, u)) break;
+      if (s.buys(u, v)) engine.remove_buy(u, v);
+      else engine.add_buy(u, v);
+      break;
+    }
+  }
+}
+
+/// Toggles one built edge (a single edit and a single epoch bump): adds a
+/// missing edge, or removes a solely owned one.
+void toggle_one_edge(DeviationEngine& engine, Rng& rng) {
+  const int n = engine.game().node_count();
+  const StrategyProfile& s = engine.profile();
+  for (;;) {
+    const int u = static_cast<int>(rng.uniform_below(n));
+    const int v = random_other(u, n, rng);
+    if (!s.has_edge(u, v)) {
+      engine.add_buy(u, v);
+      return;
+    }
+    if (s.buys(u, v) && !s.buys(v, u)) {
+      engine.remove_buy(u, v);
+      return;
+    }
+  }
+}
+
+TEST(DeviationEngineRepair, RandomMutationSequencesMatchFreshEngine) {
+  Rng rng(1201);
+  const std::uint64_t repairs_before =
+      instrument::thread_counters()[static_cast<std::size_t>(
+          Counter::kEngineRowRepairs)];
+  for (int family = 0; family < kRepairFamilies; ++family) {
+    for (int trial = 0; trial < 3; ++trial) {
+      SCOPED_TRACE(::testing::Message()
+                   << "family " << family << " trial " << trial);
+      const int n = 8 + static_cast<int>(rng.uniform_below(24));
+      const Game game = repair_game(family, n, rng);
+      DeviationEngine engine(game, random_profile(game, rng, 0.05));
+      for (int step = 0; step < 160; ++step) {
+        SCOPED_TRACE(::testing::Message() << "step " << step);
+        if (rng.bernoulli(0.01)) {
+          engine.set_profile(trial % 2 == 0 ? random_profile(game, rng, 0.05)
+                                            : recursive_tree_profile(game, rng));
+        } else {
+          random_mutation(engine, rng);
+        }
+        // Query all rows, a random subset, or none: rows end up 1, several
+        // or many epochs stale when next served.
+        std::vector<int> agents = all_agents(n);
+        rng.shuffle(agents);
+        const double policy = rng.uniform01();
+        if (policy < 0.4) {
+          expect_rows_match_fresh(engine, agents);
+        } else if (policy < 0.8) {
+          agents.resize(1 + rng.uniform_below(agents.size()));
+          expect_rows_match_fresh(engine, agents);
+        }
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  if (instrument::compiled_in()) {
+    EXPECT_GT(instrument::thread_counters()[static_cast<std::size_t>(
+                  Counter::kEngineRowRepairs)],
+              repairs_before);
+  }
+}
+
+TEST(DeviationEngineRepair, RowsRepairWithinTheLogAndRefillBeyondIt) {
+  constexpr std::size_t kRepairs =
+      static_cast<std::size_t>(Counter::kEngineRowRepairs);
+  constexpr std::size_t kMisses =
+      static_cast<std::size_t>(Counter::kEngineCacheMisses);
+  Rng rng(1203);
+  const int stale_epochs[] = {
+      1, 2, 7, static_cast<int>(DeviationEngine::kEditLogCapacity),
+      static_cast<int>(DeviationEngine::kEditLogCapacity) + 1,
+      3 * static_cast<int>(DeviationEngine::kEditLogCapacity)};
+  for (int family = 0; family < kRepairFamilies; ++family) {
+    const int n = 20;
+    const Game game = repair_game(family, n, rng);
+    DeviationEngine engine(game, random_profile(game, rng, 0.05));
+    engine.warm_distances();
+    for (const int stale : stale_epochs) {
+      SCOPED_TRACE(::testing::Message()
+                   << "family " << family << " stale " << stale);
+      for (int k = 0; k < stale; ++k) toggle_one_edge(engine, rng);
+      const instrument::CounterArray before = instrument::thread_counters();
+      expect_rows_match_fresh(engine, all_agents(n));
+      if (HasFatalFailure()) return;
+      if (!instrument::compiled_in()) continue;
+      const instrument::CounterArray after = instrument::thread_counters();
+      // One edit per epoch: the log covers exactly kEditLogCapacity epochs.
+      const bool covered =
+          stale <= static_cast<int>(DeviationEngine::kEditLogCapacity);
+      EXPECT_EQ(after[kRepairs] - before[kRepairs],
+                covered ? static_cast<std::uint64_t>(n) : 0u);
+      // The fresh engine refills its n rows; the stale one only when the
+      // log no longer covers its rows.
+      EXPECT_EQ(after[kMisses] - before[kMisses],
+                static_cast<std::uint64_t>(covered ? n : 2 * n));
+    }
+  }
+}
+
+TEST(DeviationEngineRepair, BridgeDeletionDisconnectsAndReconnects) {
+  Rng rng(1205);
+  for (int family = 0; family < kRepairFamilies; ++family) {
+    SCOPED_TRACE(::testing::Message() << "family " << family);
+    const int n = 16;
+    const Game game = repair_game(family, n, rng);
+    // A recursive tree: every built edge is a bridge.
+    DeviationEngine engine(game, recursive_tree_profile(game, rng));
+    engine.warm_distances();
+    for (int round = 0; round < 6; ++round) {
+      const int u = 1 + static_cast<int>(rng.uniform_below(n - 1));
+      const int v = random_owned(engine.profile(), u, rng);
+      ASSERT_GE(v, 0);
+      if (engine.profile().buys(v, u)) continue;
+      engine.remove_buy(u, v);
+      expect_rows_match_fresh(engine, all_agents(n));
+      EXPECT_FALSE(engine.distance_cost(u) < kInf);
+      EXPECT_FALSE(engine.distances(u)[static_cast<std::size_t>(v)] < kInf);
+      // Reconnect across the cut through a different edge when one exists.
+      const std::vector<double> side = engine.distances(u);
+      int x = -1;
+      for (int t = 0; t < n && x < 0; ++t)
+        if (t != v && !(side[static_cast<std::size_t>(t)] < kInf)) x = t;
+      engine.add_buy(u, x >= 0 ? x : v);
+      expect_rows_match_fresh(engine, all_agents(n));
+      EXPECT_TRUE(engine.distance_cost(u) < kInf);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(DeviationEngineRepair, DoubleOwnershipTogglesDoNotLog) {
+  Rng rng(1207);
+  const int n = 14;
+  const Game game = repair_game(0, n, rng);
+  DeviationEngine engine(game, random_profile(game, rng, 0.1));
+  int owner = -1, target = -1;
+  for (int u = 0; u < n && owner < 0; ++u)
+    for (int v = 0; v < n && owner < 0; ++v)
+      if (u != v && engine.profile().buys(u, v) &&
+          !engine.profile().buys(v, u)) {
+        owner = u;
+        target = v;
+      }
+  ASSERT_GE(owner, 0);
+  engine.warm_distances();
+  const std::vector<double> before = engine.distances_warm(0);
+  // More toggles than the log holds: if they logged, the log would overflow
+  // and the next topology edit would refill every row.
+  for (std::size_t k = 0; k < DeviationEngine::kEditLogCapacity; ++k) {
+    engine.add_buy(target, owner);
+    engine.remove_buy(target, owner);
+  }
+  // No epoch bump either: the warm rows are still served (and unchanged).
+  EXPECT_EQ(engine.distances_warm(0), before);
+  engine.remove_buy(owner, target);
+  const instrument::CounterArray before_counters =
+      instrument::thread_counters();
+  for (int u = 0; u < n; ++u) engine.distances(u);
+  const instrument::CounterArray after_counters =
+      instrument::thread_counters();
+  if (instrument::compiled_in()) {
+    constexpr std::size_t kMisses =
+        static_cast<std::size_t>(Counter::kEngineCacheMisses);
+    constexpr std::size_t kRepairs =
+        static_cast<std::size_t>(Counter::kEngineRowRepairs);
+    EXPECT_EQ(after_counters[kMisses], before_counters[kMisses]);
+    EXPECT_EQ(after_counters[kRepairs] - before_counters[kRepairs],
+              static_cast<std::uint64_t>(n));
+  }
+  expect_rows_match_fresh(engine, all_agents(n));
+}
+
+/// Restores the default pool width on scope exit (also on a failed ASSERT).
+class ThreadGuard {
+ public:
+  ThreadGuard() : saved_(default_thread_count()) {}
+  ~ThreadGuard() { set_default_thread_count(saved_); }
+
+ private:
+  std::size_t saved_;
+};
+
+TEST(DeviationEngineRepair, WarmDistancesByteIdenticalAcrossThreadCounts) {
+  const ThreadGuard guard;
+  Rng rng(1209);
+  for (int family = 0; family < kRepairFamilies; ++family) {
+    SCOPED_TRACE(::testing::Message() << "family " << family);
+    const int n = 40;
+    const Game game = repair_game(family, n, rng);
+    const StrategyProfile start = random_profile(game, rng, 0.05);
+    DeviationEngine serial(game, start);
+    DeviationEngine pooled(game, start);
+    Rng serial_rng(77 + family), pooled_rng(77 + family);
+    for (int step = 0; step < 40; ++step) {
+      random_mutation(serial, serial_rng);
+      random_mutation(pooled, pooled_rng);
+      set_default_thread_count(1);
+      serial.warm_distances();
+      set_default_thread_count(8);
+      pooled.warm_distances();
+      for (int u = 0; u < n; ++u) {
+        const std::vector<double>& a = serial.distances_warm(u);
+        const std::vector<double>& b = pooled.distances_warm(u);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t t = 0; t < a.size(); ++t)
+          ASSERT_EQ(bits(a[t]), bits(b[t])) << "step " << step << " agent " << u;
+        ASSERT_EQ(bits(serial.distance_cost_warm(u)),
+                  bits(pooled.distance_cost_warm(u)));
+      }
+    }
+  }
 }
 
 }  // namespace
