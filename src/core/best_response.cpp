@@ -28,14 +28,11 @@ AgentEnvironment::AgentEnvironment(const DeviationEngine& engine, int u)
     : game_(&engine.game()), agent_(u) {
   const int n = game_->node_count();
   GNCG_CHECK(u >= 0 && u < n, "agent out of range");
+  // Edges that exist only because u buys them are masked in
+  // for_neighbors; edges u and a neighbor both buy stay (the neighbor keeps
+  // paying in the environment).
   borrowed_ = &engine.adjacency();
-  // Mask the edges that exist only because u buys them; edges u and a
-  // neighbor both buy stay (the neighbor keeps paying in the environment).
-  const StrategyProfile& s = engine.profile();
-  sole_owned_ = NodeSet(n);
-  s.strategy(u).for_each([&](int target) {
-    if (!s.buys(target, u)) sole_owned_.insert(target);
-  });
+  borrowed_profile_ = &engine.profile();
 }
 
 double AgentEnvironment::distance_cost_of(const NodeSet& targets) const {
@@ -166,6 +163,13 @@ BestResponseResult exact_best_response(const DeviationEngine& engine, int u,
                                        const BestResponseOptions& options) {
   const AgentEnvironment env(engine, u);
   return br_search_sum(env, options);
+}
+
+void exact_best_response(const DeviationEngine& engine, int u,
+                         const BestResponseOptions& options,
+                         BestResponseResult& result) {
+  const AgentEnvironment env(engine, u);
+  br_search_sum(env, options, result);
 }
 
 bool has_improving_deviation(const Game& game, const StrategyProfile& s,

@@ -60,8 +60,8 @@ class AgentEnvironment {
     if (borrowed_ != nullptr) {
       for (const auto& nb : borrowed_->neighbors(x)) {
         if (x == agent_) {
-          if (sole_owned_.contains(nb.to)) continue;
-        } else if (nb.to == agent_ && sole_owned_.contains(x)) {
+          if (sole_owned(nb.to)) continue;
+        } else if (nb.to == agent_ && sole_owned(x)) {
           continue;
         }
         visit(nb.to, nb.weight);
@@ -82,10 +82,16 @@ class AgentEnvironment {
  private:
   const Game* game_;
   int agent_;
-  /// Borrow mode: the engine's CSR adjacency plus the mask of u's sole-owned
-  /// targets (the edges that vanish when u rethinks its strategy).
+  /// Borrow mode: the engine's CSR adjacency and profile.  u's sole-owned
+  /// targets (u buys the edge, the target does not) are the edges that
+  /// vanish when u rethinks its strategy; they are read off the profile on
+  /// the fly, so building a borrowed environment allocates nothing.
+  bool sole_owned(int target) const {
+    return borrowed_profile_->strategy(agent_).contains(target) &&
+           !borrowed_profile_->buys(target, agent_);
+  }
   const CsrAdjacency* borrowed_ = nullptr;
-  NodeSet sole_owned_;
+  const StrategyProfile* borrowed_profile_ = nullptr;
   /// Owned mode: environment adjacency built from the profile.
   std::vector<std::vector<Neighbor>> owned_;
 };
@@ -155,6 +161,13 @@ BestResponseResult exact_best_response(const Game& game,
 /// engine's materialized adjacency for the environment (no copy).
 BestResponseResult exact_best_response(const DeviationEngine& engine, int u,
                                        const BestResponseOptions& options = {});
+
+/// Out-parameter form of the engine-backed search: writes into `result`,
+/// reusing its strategy's storage.  With the pool at one thread, a warmed
+/// loop of full-mode calls allocates nothing (tests/test_arena.cpp).
+void exact_best_response(const DeviationEngine& engine, int u,
+                         const BestResponseOptions& options,
+                         BestResponseResult& result);
 
 /// Pre-refactor reference search: one fresh Dijkstra per visited candidate
 /// subset over the AgentEnvironment, sequential, global host-sum floor

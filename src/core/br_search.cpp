@@ -82,9 +82,10 @@ struct MaxCostModel {
 // --- branch-local DFS -----------------------------------------------------
 
 /// One first-level branch of the subset DFS: all subsets whose smallest
-/// chosen candidate index is `branch`.  Owns its incremental SSSP state and
-/// its incumbent; shares nothing mutable, so branches run concurrently and
-/// the fold over branch outcomes is independent of thread count.
+/// chosen candidate index is `branch`.  Owns its distance state and writes
+/// its result into its own outcome slot; shares nothing mutable, so
+/// branches run concurrently and the fold over branch outcomes is
+/// independent of thread count.
 template <class Model>
 struct BranchSearch {
   const Game* game = nullptr;
@@ -100,19 +101,28 @@ struct BranchSearch {
   int branch = 0;
   const std::atomic<int>* winner = nullptr;  ///< lowest improving branch
 
-  /// The executing worker's arena-owned incremental SSSP.  Branches run to
-  /// completion on one thread and reseed via reset(), so sequential branches
-  /// on the same worker can share the instance.
-  IncrementalSssp* sssp = nullptr;
-  NodeSet current;
+  /// The branch's result slot (BrScratch::Outcome, owned by the driver).
+  ScratchArena::BrScratch::Outcome* out = nullptr;
+  /// Chosen candidate targets; from the executing worker's arena, like the
+  /// distance state below.  Branches run to completion on one thread, so
+  /// sequential branches on the same worker share these buffers.
+  NodeSet* current = nullptr;
   double current_weight = 0.0;
-  BestResponseResult result;
   bool done = false;
 
-  /// Bounded-frontier mode (repair_cap > 0): every in-DFS repair honors the
-  /// cap, and `path_frontier` is the minimum frontier key over the
-  /// *truncated* insertions still on the DFS path (kInf when every repair on
-  /// the path ran exact).  The repair invariant composes along the path:
+  /// Exact mode (repair_cap == 0): the driver's read-only row table plus
+  /// this branch's distance vector and min-merge undo log.  Inserting
+  /// candidate i lowers dist to min(dist, row_i) and logs every overwrite;
+  /// removing it replays the log back to the insert's mark.
+  const std::vector<std::vector<std::pair<int, double>>>* rows = nullptr;
+  std::vector<double>* dist = nullptr;
+  std::vector<std::pair<int, double>>* undo = nullptr;
+
+  /// Bounded-frontier mode (repair_cap > 0): the agent's vector is
+  /// maintained by stacked IncrementalSssp repairs that honor the cap, and
+  /// `path_frontier` is the minimum frontier key over the *truncated*
+  /// insertions still on the DFS path (kInf when every repair on the path
+  /// ran exact).  The repair invariant composes along the path:
   /// true(t) >= min(dist(t), path_frontier), because a node left deficient
   /// by some truncated repair has its fixing relaxation chain blocked at a
   /// key >= that repair's frontier >= path_frontier (keys along a shortest
@@ -120,9 +130,14 @@ struct BranchSearch {
   /// later repair did fix satisfies dist == true.  Saved/restored around
   /// each descend step like the distance log.
   std::size_t repair_cap = 0;
+  IncrementalSssp* sssp = nullptr;
   double path_frontier = kInf;
 
-  double bound() const { return std::min(result.cost, base_bound); }
+  const std::vector<double>& distances() const {
+    return repair_cap > 0 ? sssp->dist() : *dist;
+  }
+
+  double bound() const { return std::min(out->cost, base_bound); }
 
   /// A branch whose index can no longer win the first-improvement fold (a
   /// lower branch already improved) stops; its result is discarded either
@@ -141,7 +156,7 @@ struct BranchSearch {
     // explored before reaching this node), the pre-refactor search's
     // cost-vs-cost_of ulp mismatch.
     double edge_sum = 0.0;
-    current.for_each(
+    current->for_each(
         [&](int v) { edge_sum += (*weight_row)[static_cast<std::size_t>(v)]; });
     // With a live truncation on the path the maintained vector is only an
     // upper bound, so the recorded value is the admissible floor
@@ -155,17 +170,17 @@ struct BranchSearch {
       dist_term = Model::tight_floor(*host_row, sssp->dist(), path_frontier);
       lower_bound_only = true;
     } else {
-      dist_term = Model::distance_term(sssp->dist());
+      dist_term = Model::distance_term(distances());
     }
     const double cost = game->alpha() * edge_sum + dist_term;
-    ++result.evaluations;
+    ++out->evaluations;
     GNCG_COUNT(kBrEvaluations);
     if (improves(cost, bound())) {
-      result.cost = cost;
-      result.strategy = current;
-      result.improved = improves(cost, incumbent);
-      result.truncated = lower_bound_only;
-      if (first_improvement && result.improved) done = true;
+      out->cost = cost;
+      out->strategy = *current;
+      out->improved = improves(cost, incumbent);
+      out->truncated = lower_bound_only;
+      if (first_improvement && out->improved) done = true;
     }
   }
 
@@ -190,7 +205,7 @@ struct BranchSearch {
                              ? std::min((*weights)[i], path_frontier)
                              : (*weights)[i];
     if (!improves(edge_cost +
-                      Model::tight_floor(*host_row, sssp->dist(), w_eff),
+                      Model::tight_floor(*host_row, distances(), w_eff),
                   b)) {
       GNCG_COUNT(kBrPrunesPerNode);
       return true;
@@ -198,30 +213,57 @@ struct BranchSearch {
     return false;
   }
 
-  void insert(std::size_t i) {
-    GNCG_COUNT(kBrExpansions);
-    current.insert((*candidates)[i]);
-    current_weight += (*weights)[i];
-    // The source's distance is 0 and never changes, so the repair needs
-    // only the environment edges: no path improves through the source.
-    const auto environment_edges = [this](int x, auto&& visit) {
-      env->for_neighbors(x, visit);
-    };
-    if (repair_cap > 0) {
-      FrontierPolicy policy;
-      policy.node_cap = repair_cap;
-      const RepairOutcome outcome = sssp->relax_insert(
-          (*candidates)[i], (*weights)[i], policy, environment_edges);
-      if (outcome.truncated)
-        path_frontier = std::min(path_frontier, outcome.frontier_min);
-    } else {
-      sssp->relax_insert((*candidates)[i], (*weights)[i], environment_edges);
-    }
+  /// Undo position to hand back to remove().
+  std::size_t checkpoint() const {
+    return repair_cap > 0 ? sssp->checkpoint() : undo->size();
   }
 
-  void remove(std::size_t i, IncrementalSssp::Checkpoint mark) {
-    sssp->rollback(mark);
-    current.erase((*candidates)[i]);
+  void insert(std::size_t i) {
+    GNCG_COUNT(kBrExpansions);
+    current->insert((*candidates)[i]);
+    current_weight += (*weights)[i];
+    if (repair_cap == 0) {
+      merge_row(i);
+      return;
+    }
+    // The source's distance is 0 and never changes, so the repair needs
+    // only the environment edges: no path improves through the source.
+    FrontierPolicy policy;
+    policy.node_cap = repair_cap;
+    const RepairOutcome outcome = sssp->relax_insert(
+        (*candidates)[i], (*weights)[i], policy,
+        [this](int x, auto&& visit) { env->for_neighbors(x, visit); });
+    if (outcome.truncated)
+      path_frontier = std::min(path_frontier, outcome.frontier_min);
+  }
+
+  /// dist <- min(dist, row_i), logging every overwrite.
+  void merge_row(std::size_t i) {
+    GNCG_DASSERT(i < rows->size());
+    std::vector<double>& d = *dist;
+    GNCG_IF_INSTRUMENT(const std::size_t mark = undo->size();)
+    for (const auto& [t, row_t] : (*rows)[i]) {
+      double& slot = d[static_cast<std::size_t>(t)];
+      if (row_t < slot) {
+        undo->emplace_back(t, slot);
+        slot = row_t;
+      }
+    }
+    GNCG_COUNT_N(kBrMergeWrites, undo->size() - mark);
+  }
+
+  void remove(std::size_t i, std::size_t mark) {
+    if (repair_cap > 0) {
+      sssp->rollback(mark);
+    } else {
+      std::vector<double>& d = *dist;
+      while (undo->size() > mark) {
+        const auto& [node, old_dist] = undo->back();
+        d[static_cast<std::size_t>(node)] = old_dist;
+        undo->pop_back();
+      }
+    }
+    current->erase((*candidates)[i]);
     current_weight -= (*weights)[i];
   }
 
@@ -233,7 +275,7 @@ struct BranchSearch {
         break;
       }
       if (pruned(i)) break;
-      const IncrementalSssp::Checkpoint mark = sssp->checkpoint();
+      const std::size_t mark = checkpoint();
       const double pf_mark = path_frontier;
       insert(i);
       evaluate();
@@ -244,20 +286,13 @@ struct BranchSearch {
   }
 };
 
-/// Result of one first-level branch, folded in branch order by the driver.
-struct BranchOutcome {
-  double cost = kInf;
-  NodeSet strategy;
-  bool improved = false;
-  std::uint64_t evaluations = 0;
-  bool truncated = false;
-};
-
-/// The shared driver: empty-set evaluation, first-level fan-out over the
-/// worker pool, deterministic in-order fold.
+/// The shared driver: empty-set evaluation, facility-row build (exact
+/// mode), first-level fan-out over the worker pool, deterministic in-order
+/// fold.  Writes into `result`, reusing its strategy's storage.
 template <class Model>
-BestResponseResult run_search(const AgentEnvironment& env,
-                              const BestResponseOptions& options) {
+void run_search(const AgentEnvironment& env,
+                const BestResponseOptions& options,
+                BestResponseResult& result) {
   const Game& game = env.game();
   const int n = game.node_count();
   const int u = env.agent();
@@ -266,9 +301,14 @@ BestResponseResult run_search(const AgentEnvironment& env,
   // Driver scratch comes from the calling worker's arena.  Branch tasks on
   // other workers read these buffers through const pointers only; branch
   // tasks on *this* thread (the caller participates in the fan-out) must
-  // therefore never write them -- they use the arena's disjoint
-  // incremental-SSSP member instead.
-  ScratchArena::BrScratch& scratch = worker_arena().br();
+  // therefore never write them -- they use the arena's disjoint branch
+  // state (the row partition's branch half, the incremental SSSP) instead.
+  // The one exception is the outcome table: slot i belongs to branch i.
+  ScratchArena& arena = worker_arena();
+  ScratchArena::BrScratch& scratch = arena.br();
+  const auto environment_edges = [&](int x, auto&& visit) {
+    env.for_neighbors(x, visit);
+  };
 
   // Candidate targets sorted by edge weight so the branch-and-bound cut is
   // monotone: every node u may buy towards, or -- under restrict_targets --
@@ -298,8 +338,8 @@ BestResponseResult run_search(const AgentEnvironment& env,
   }
 
   // The one Dijkstra of the search: u's distances in the bare environment
-  // (the empty-strategy network).  Every branch seeds its incremental
-  // vector from this.  Integer-weight hosts take the bucket-queue kernel
+  // (the empty-strategy network).  Every branch seeds its distance state
+  // from this.  Integer-weight hosts take the bucket-queue kernel
   // (bit-identical distances).  A caller that already holds this exact row
   // (the batched certifier sharing one warmed base across the ladder's
   // tiers) passes it via options.base_dist and the search skips the kernel.
@@ -308,11 +348,7 @@ BestResponseResult run_search(const AgentEnvironment& env,
     GNCG_DASSERT(options.base_dist->size() == static_cast<std::size_t>(n));
     base_dist = *options.base_dist;
   } else {
-    ScratchArena& arena = worker_arena();
     const int dial_bound = game.host().dial_weight_bound();
-    const auto environment_edges = [&](int x, auto&& visit) {
-      env.for_neighbors(x, visit);
-    };
     if (dial_bound > 0) {
       arena.dial().run_into(base_dist, n, u, dial_bound, environment_edges);
     } else {
@@ -334,8 +370,10 @@ BestResponseResult run_search(const AgentEnvironment& env,
     weight_row[static_cast<std::size_t>(candidates[i])] = weights[i];
   const double cheap_floor = Model::cheap_floor(game, u, host_row);
 
-  BestResponseResult result;
-  result.strategy = NodeSet(n);
+  result.strategy.reset(n);
+  result.cost = kInf;
+  result.improved = false;
+  result.truncated = false;
   const double empty_cost =
       game.alpha() * 0.0 + Model::distance_term(base_dist);
   result.evaluations = 1;
@@ -350,13 +388,55 @@ BestResponseResult run_search(const AgentEnvironment& env,
   const std::size_t k = candidates.size();
   if (!done && k > 0) {
     const double base_bound = std::min(result.cost, options.incumbent);
-    std::vector<BranchOutcome> outcomes(k);
+
+    // Exact mode: one improvement row per candidate, built once from the
+    // base vector.  Every new edge leaves u, so a shortest path uses at
+    // most one of them, first, and the vector of a subset S is exactly
+    // min(base, min over x in S of row_x) -- the stacked repair's least
+    // fixpoint, bit for bit.  Only candidates passing the O(1) global entry
+    // cut get a row: the cut's floor only grows with the DFS weight and the
+    // bound only shrinks, so a candidate failing it at the root is never
+    // inserted at any depth (on the weight-sorted list they form a suffix).
+    //
+    // The build is its own parallel pass: row i goes to slot i, built on
+    // whichever worker claims it with that worker's IncrementalSssp (no
+    // branch is running yet), so the table is complete and read-only
+    // before the fan-out starts.
+    std::vector<std::vector<std::pair<int, double>>>& rows =
+        arena.br_rows().rows;
+    const bool exact = options.repair_cap == 0;
+    if (exact) {
+      std::size_t row_count = 0;
+      while (row_count < k &&
+             improves(game.alpha() * (0.0 + weights[row_count]) + cheap_floor,
+                      base_bound))
+        ++row_count;
+      if (rows.size() < row_count) rows.resize(row_count);
+      parallel_for(0, row_count, [&](std::size_t i) {
+        IncrementalSssp& builder = worker_arena().incremental_sssp();
+        builder.reset(base_dist);
+        rows[i].clear();
+        builder.append_improvement_row(candidates[i], weights[i],
+                                       environment_edges, rows[i]);
+        GNCG_COUNT(kBrRowBuilds);
+        GNCG_COUNT_N(kBrRowEntries, rows[i].size());
+      });
+    }
+
+    std::vector<ScratchArena::BrScratch::Outcome>& outcomes =
+        scratch.outcomes;
+    if (outcomes.size() < k) outcomes.resize(k);
     std::atomic<int> winner{INT_MAX};
     // One task per first-level branch; branch subtrees are whole jobs, so
     // short candidate lists still fan out (serial_cutoff 2).
     parallel_for(
         0, k,
         [&](std::size_t i) {
+          ScratchArena::BrScratch::Outcome& out = outcomes[i];
+          out.cost = kInf;
+          out.improved = false;
+          out.evaluations = 0;
+          out.truncated = false;
           if (options.first_improvement &&
               winner.load(std::memory_order_relaxed) <
                   static_cast<int>(i)) {
@@ -378,6 +458,8 @@ BestResponseResult run_search(const AgentEnvironment& env,
             return;
           }
 
+          ScratchArena& worker = worker_arena();
+          ScratchArena::BrRowScratch& branch_state = worker.br_rows();
           BranchSearch<Model> search;
           search.game = &game;
           search.env = &env;
@@ -392,18 +474,27 @@ BestResponseResult run_search(const AgentEnvironment& env,
           search.branch = static_cast<int>(i);
           search.repair_cap = options.repair_cap;
           if (options.first_improvement) search.winner = &winner;
-          search.sssp = &worker_arena().incremental_sssp();
-          search.sssp->reset(base_dist);
-          search.current = NodeSet(n);
-          search.result.strategy = NodeSet(n);
+          search.out = &out;
+          search.current = &branch_state.current;
+          search.current->reset(n);
+          if (exact) {
+            search.rows = &rows;
+            search.dist = &branch_state.dist;
+            search.undo = &branch_state.undo;
+            *search.dist = base_dist;
+            search.undo->clear();
+          } else {
+            search.sssp = &worker.incremental_sssp();
+            search.sssp->reset(base_dist);
+          }
 
-          const IncrementalSssp::Checkpoint mark = search.sssp->checkpoint();
+          const std::size_t mark = search.checkpoint();
           search.insert(i);
           search.evaluate();
           if (!search.done) search.descend(i + 1);
           search.remove(i, mark);
 
-          if (search.result.improved && options.first_improvement) {
+          if (out.improved && options.first_improvement) {
             int expected = winner.load(std::memory_order_relaxed);
             while (static_cast<int>(i) < expected &&
                    !winner.compare_exchange_weak(
@@ -411,31 +502,29 @@ BestResponseResult run_search(const AgentEnvironment& env,
                        std::memory_order_relaxed)) {
             }
           }
-          outcomes[i] = BranchOutcome{
-              search.result.cost, std::move(search.result.strategy),
-              search.result.improved, search.result.evaluations,
-              search.result.truncated};
         },
         /*grain=*/1, /*serial_cutoff=*/2);
 
     // Deterministic fold in branch order: strict improvement to replace
     // reproduces the sequential DFS's first-found-among-ties answer (the
-    // smaller-lexicographic strategy in candidate order).
+    // smaller-lexicographic strategy in candidate order).  Strategies are
+    // copied, not moved, so every slot keeps its storage for the next call.
     for (std::size_t i = 0; i < k; ++i) {
-      result.evaluations += outcomes[i].evaluations;
+      const ScratchArena::BrScratch::Outcome& out = outcomes[i];
+      result.evaluations += out.evaluations;
       if (options.first_improvement) {
-        if (!result.improved && outcomes[i].improved) {
-          result.cost = outcomes[i].cost;
-          result.strategy = std::move(outcomes[i].strategy);
+        if (!result.improved && out.improved) {
+          result.cost = out.cost;
+          result.strategy = out.strategy;
           result.improved = true;
-          result.truncated = outcomes[i].truncated;
+          result.truncated = out.truncated;
         }
-      } else if (improves(outcomes[i].cost,
+      } else if (improves(out.cost,
                           std::min(result.cost, options.incumbent))) {
-        result.cost = outcomes[i].cost;
-        result.strategy = std::move(outcomes[i].strategy);
+        result.cost = out.cost;
+        result.strategy = out.strategy;
         result.improved = improves(result.cost, options.incumbent);
-        result.truncated = outcomes[i].truncated;
+        result.truncated = out.truncated;
       }
     }
   }
@@ -445,19 +534,28 @@ BestResponseResult run_search(const AgentEnvironment& env,
   if (!(result.cost < kInf) && !(options.incumbent < kInf)) {
     result.cost = empty_cost;
   }
-  return result;
 }
 
 }  // namespace
 
+void br_search_sum(const AgentEnvironment& env,
+                   const BestResponseOptions& options,
+                   BestResponseResult& result) {
+  run_search<SumCostModel>(env, options, result);
+}
+
 BestResponseResult br_search_sum(const AgentEnvironment& env,
                                  const BestResponseOptions& options) {
-  return run_search<SumCostModel>(env, options);
+  BestResponseResult result;
+  br_search_sum(env, options, result);
+  return result;
 }
 
 BestResponseResult br_search_max(const AgentEnvironment& env,
                                  const BestResponseOptions& options) {
-  return run_search<MaxCostModel>(env, options);
+  BestResponseResult result;
+  run_search<MaxCostModel>(env, options, result);
+  return result;
 }
 
 }  // namespace gncg

@@ -8,11 +8,27 @@
 // the pay-one-Dijkstra-per-subset search:
 //
 //  * In-DFS distance maintenance: every DFS descent adds one edge (u, c)
-//    incident to the agent, which only *decreases* distances, so the
-//    agent's SSSP vector is maintained incrementally (IncrementalSssp:
-//    bounded decrease-only repair seeded at c, change-log rollback on
-//    backtrack).  One Dijkstra per search instead of one per subset;
-//    evaluating a subset costs one O(n) aggregation pass.
+//    incident to the agent, which only *decreases* distances, and one
+//    Dijkstra per search seeds every subset's vector.
+//    - Exact mode (repair_cap == 0) runs on facility rows, the paper's
+//      Theorem 3 reduction to facility location.  Every new edge leaves u,
+//      so a shortest path uses at most one of them, first, and
+//      d_S(t) = min(d_base(t), min over c in S of row_c(t)), where row_c is
+//      the single-insert repair of the base vector by (u, c).  A parallel
+//      pass before the branch fan-out builds each candidate's improvement
+//      row once per search (IncrementalSssp::append_improvement_row; only
+//      for candidates past the O(1) global entry cut, since a candidate
+//      failing it at the root fails it at every depth), and the fan-out
+//      reads the row table read-only.  A branch then keeps its own distance
+//      vector: inserting c min-merges row_c with an undo log, and
+//      backtracking replays the log.  The rows are repairs *from u*, so
+//      their path sums round exactly as in a Dijkstra from u, and the min
+//      over rows is the multi-insert least fixpoint bit for bit.
+//    - Bounded mode (repair_cap > 0, the approximate ladder's tier 2)
+//      keeps stacked IncrementalSssp repairs (capped decrease-only repair
+//      seeded at c, change-log rollback on backtrack): rows truncated from
+//      the base vector would bound differently.
+//    Evaluating a subset costs one O(n) aggregation pass either way.
 //  * Two-level admissible pruning: the O(1) global floor (host_distance_sum
 //    for SUM, host eccentricity for MAX) cuts first; surviving candidates
 //    face the tighter O(n) per-node floor
@@ -61,5 +77,12 @@ BestResponseResult br_search_sum(const AgentEnvironment& env,
 /// by max_exact_best_response.
 BestResponseResult br_search_max(const AgentEnvironment& env,
                                  const BestResponseOptions& options);
+
+/// Out-parameter form of br_search_sum: writes into `result`, reusing its
+/// strategy's storage, so a warmed loop of full-mode searches allocates
+/// nothing.
+void br_search_sum(const AgentEnvironment& env,
+                   const BestResponseOptions& options,
+                   BestResponseResult& result);
 
 }  // namespace gncg

@@ -1,9 +1,14 @@
 // Incremental single-source shortest paths under edge *insertions*.
 //
-// The exact best-response search descends a DFS over candidate purchase
-// subsets; every descent step adds one edge incident to the source, and
-// adding an edge can only *decrease* distances.  IncrementalSssp maintains
-// the source's distance vector across that walk:
+// Adding an edge incident to the source can only *decrease* distances.
+// IncrementalSssp maintains the source's distance vector under such
+// insertions for three users: the approximate-BR ladder's tier-1 greedy
+// and exact re-costs (core/approx_br.cpp), the bounded best-response search
+// (repair_cap > 0), which stacks one repair per DFS descent and rolls it
+// back on backtrack, and the exact search's facility-row builds
+// (append_improvement_row: one single-insert repair per candidate, rolled
+// back at once -- core/br_search.cpp merges the rows instead of stacking
+// repairs).  The operations:
 //
 //  * `reset(dist)` seeds the structure from a fully computed SSSP vector
 //    (one Dijkstra per search, instead of one per visited subset);
@@ -42,7 +47,7 @@
 // improvement is spatially local.  Rollback works identically in both
 // modes: every overwrite is logged before the bound is consulted.
 //
-// Not thread-safe; parallel searches own one instance per branch.
+// Not thread-safe; parallel searches use one instance per worker.
 #pragma once
 
 #include <cstddef>
@@ -122,6 +127,30 @@ class IncrementalSssp {
   /// Restores every distance overwritten since `mark`, newest first (a node
   /// improved twice ends up at its earliest logged value).
   void rollback(Checkpoint mark);
+
+  /// Single-insert improvement row: appends to `row` every node t that
+  /// relax_insert(v, cand, neighbor_fn) lowers, once each, with its repaired
+  /// distance, then rolls the vector back.  Rows of several candidates are
+  /// therefore all repairs of the same vector, and because every inserted
+  /// edge leaves the source, the vector after inserting a set S is exactly
+  /// the elementwise min of the current vector and the rows of S.
+  template <class NeighborFn>
+  void append_improvement_row(int v, double cand, NeighborFn&& neighbor_fn,
+                              std::vector<std::pair<int, double>>& row) {
+    const Checkpoint mark = checkpoint();
+    relax_insert_impl<false>(v, cand, FrontierPolicy{}, neighbor_fn);
+    // A node lowered twice is logged twice: emit it at its oldest entry with
+    // its final distance and mark it with a negative distance (distances
+    // are >= 0), which the rollback below overwrites like any other entry.
+    for (std::size_t e = mark; e < log_.size(); ++e) {
+      const int t = log_[e].first;
+      double& d = dist_[static_cast<std::size_t>(t)];
+      if (d < 0.0) continue;
+      row.emplace_back(t, d);
+      d = -1.0;
+    }
+    rollback(mark);
+  }
 
   std::size_t footprint_bytes() const {
     return dist_.capacity() * sizeof(double) +

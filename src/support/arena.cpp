@@ -22,6 +22,11 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += (br_.weights.capacity() + br_.base_dist.capacity() +
             br_.host_row.capacity() + br_.weight_row.capacity()) *
            sizeof(double);
+  total += br_.outcomes.capacity() * sizeof(BrScratch::Outcome);
+  for (const auto& row : br_rows_.rows)
+    total += row.capacity() * sizeof(std::pair<int, double>);
+  total += br_rows_.undo.capacity() * sizeof(std::pair<int, double>);
+  total += br_rows_.dist.capacity() * sizeof(double);
   total += ladder_.cand.capacity() * sizeof(int);
   total += (ladder_.cand_w.capacity() + ladder_.base_dist.capacity() +
             ladder_.host_row.capacity() + ladder_.weight_row.capacity()) *

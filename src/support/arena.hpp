@@ -7,7 +7,9 @@
 // of that per-thread state into one object:
 //
 //   * the binary-heap and bucket-queue Dijkstra workspaces,
-//   * the IncrementalSssp instance best-response branches repair,
+//   * the IncrementalSssp instance that builds exact best-response rows and
+//     that bounded best-response branches repair,
+//   * the exact best-response facility rows and branch min-merge state,
 //   * the deviation engine's scan scratch (owned-target list, side marks,
 //     DFS stack, distance-sum vector) and its row-repair scratch,
 //   * the best-response driver's candidate/weight/base-distance rows.
@@ -24,8 +26,9 @@
 // owning thread ever touches it.  Code holding one arena reference must not
 // hand it to another thread, and nested users of the same thread must use
 // disjoint members (the engine's scan path uses scan buffers + a Dijkstra
-// workspace; best-response branches use the IncrementalSssp -- the members
-// are partitioned so no hot path aliases another's buffer).
+// workspace; best-response branches use the row partition's branch half or
+// the IncrementalSssp -- the members are partitioned so no hot path aliases
+// another's buffer).
 #pragma once
 
 #include <cstddef>
@@ -34,6 +37,7 @@
 
 #include "graph/dijkstra.hpp"
 #include "graph/incremental_sssp.hpp"
+#include "support/node_set.hpp"
 
 namespace gncg {
 
@@ -45,7 +49,8 @@ class ScratchArena {
   /// Bucket-queue Dijkstra workspace (integer-weight hosts).
   DialBuffers& dial() { return dial_; }
 
-  /// Incremental SSSP maintained along a best-response DFS branch.
+  /// Incremental SSSP: exact best-response row builds (the build pass that
+  /// precedes the branch fan-out) and bounded best-response DFS branches.
   IncrementalSssp& incremental_sssp() { return sssp_; }
 
   /// Distance vector for sum-only SSSP queries (masked scans, strategy
@@ -87,8 +92,40 @@ class ScratchArena {
     std::vector<double> base_dist;              ///< SSSP from the empty set
     std::vector<double> host_row;               ///< host distances from u
     std::vector<double> weight_row;             ///< buy weights from u
+    /// Result of one first-level branch.  Slot i is written only by branch
+    /// i's task and read by the driver's fold after the fan-out joins.  The
+    /// vector never shrinks, so slot strategies keep their storage.
+    struct Outcome {
+      double cost = kInf;
+      NodeSet strategy;
+      bool improved = false;
+      std::uint64_t evaluations = 0;
+      bool truncated = false;
+    };
+    std::vector<Outcome> outcomes;
   };
   BrScratch& br() { return br_; }
+
+  // --- exact best-response facility rows (core/br_search.cpp) ---
+  //
+  // Disjoint from BrScratch and the IncrementalSssp.  Two owners: the
+  // driver's row table, filled by a parallel build pass (slot i written
+  // only by the task building row i) and read-only during the branch
+  // fan-out that follows, and the branch half, which belongs to the branch
+  // running on this thread.
+
+  struct BrRowScratch {
+    /// Row table: rows[i] holds (node, single-insert distance) for every
+    /// node the edge (u, candidate i) lowers.  One vector per candidate so
+    /// rows build in parallel; the table never shrinks, so every slot keeps
+    /// its storage across searches.
+    std::vector<std::vector<std::pair<int, double>>> rows;
+    // Branch half.
+    std::vector<double> dist;                  ///< min-merged distances
+    std::vector<std::pair<int, double>> undo;  ///< (node, overwritten value)
+    NodeSet current;                           ///< chosen candidate targets
+  };
+  BrRowScratch& br_rows() { return br_rows_; }
 
   // --- approximate-BR ladder scratch (core/approx_br.cpp) ---
   //
@@ -124,6 +161,7 @@ class ScratchArena {
   std::vector<int> dfs_stack_;
   RepairScratch repair_;
   BrScratch br_;
+  BrRowScratch br_rows_;
   LadderScratch ladder_;
 };
 
@@ -133,7 +171,8 @@ class ScratchArena {
 ScratchArena& worker_arena();
 
 /// Fleet-wide arena statistics (every arena ever registered, including ones
-/// whose threads have exited -- the registry owns them).
+/// whose threads have exited -- the registry owns them).  Reads every
+/// arena's buffers, so call it at quiescent points (no kernel running).
 struct ArenaStats {
   std::size_t arenas = 0;
   std::size_t footprint_bytes = 0;

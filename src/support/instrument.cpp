@@ -62,6 +62,9 @@ const char* counter_name(Counter counter) {
     case Counter::kMgmCommits: return "mgm_commits";
     case Counter::kEngineRowRepairs: return "engine_row_repairs";
     case Counter::kEngineRepairRelaxations: return "engine_repair_relaxations";
+    case Counter::kBrRowBuilds: return "br_row_builds";
+    case Counter::kBrRowEntries: return "br_row_entries";
+    case Counter::kBrMergeWrites: return "br_merge_writes";
     case Counter::kCount: break;
   }
   return "unknown";

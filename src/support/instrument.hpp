@@ -128,6 +128,14 @@ enum class Counter : int {
   kEngineRowRepairs,         ///< stale rows repaired from the edit log
   kEngineRepairRelaxations,  ///< distance decreases during row repairs
 
+  // Exact best response on facility rows (core/br_search.cpp): one
+  // single-insert improvement row per candidate that passes the global
+  // entry cut, then a min-merge per DFS insert.  The bounded search
+  // (repair_cap > 0) keeps the stacked repairs and bumps none of these.
+  kBrRowBuilds,   ///< candidate improvement rows built
+  kBrRowEntries,  ///< (node, distance) entries across built rows
+  kBrMergeWrites, ///< distances lowered by row min-merges (undo entries)
+
   kCount
 };
 

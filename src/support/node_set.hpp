@@ -100,6 +100,20 @@ class NodeSet {
     for (auto& w : words_) w = 0;
   }
 
+  /// Empties the set and re-targets it at `universe`, keeping the storage:
+  /// the allocation-free form of `*this = NodeSet(universe)` for buffers
+  /// recycled across calls.
+  void reset(int universe) {
+    GNCG_CHECK(universe >= 0, "NodeSet universe must be non-negative");
+    universe_ = universe;
+    sparse_words_.clear();
+    if (sparse()) {
+      words_.clear();
+    } else {
+      words_.assign(static_cast<std::size_t>((universe + 63) / 64), 0);
+    }
+  }
+
   /// Cardinality of the set.
   int size() const {
     int total = 0;

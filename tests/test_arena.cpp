@@ -1,11 +1,12 @@
 // Scratch-arena discipline: the zero-steady-state-allocation probe and the
 // workspace shrink-policy regressions.
 //
-// The probe is the PR's enforcement mechanism for "hot paths draw every
-// buffer from the worker arena": global operator new/delete are replaced
-// with counting versions, the engine loop (mutate -> warm_distances -> warm
-// single-move scans -> cost_of_strategy) is run until warm, and then
-// further identical iterations must perform ZERO heap allocations.  Any
+// The probes enforce "hot paths draw every buffer from the worker arena":
+// global operator new/delete are replaced with counting versions, the engine
+// loop (mutate -> warm_distances -> warm single-move scans ->
+// cost_of_strategy) and a full-mode exact best-response sweep are each run
+// until warm, and then further identical iterations must perform ZERO heap
+// allocations.  Any
 // future per-call vector, to_vector(), or std::function sneaking into the
 // scan/SSSP paths turns this red.
 //
@@ -22,10 +23,12 @@
 #include <new>
 #include <vector>
 
+#include "core/best_response.hpp"
 #include "core/deviation_engine.hpp"
 #include "core/profile_gen.hpp"
 #include "graph/dijkstra.hpp"
 #include "metric/host_graph.hpp"
+#include "metric/points.hpp"
 #include "support/arena.hpp"
 #include "support/instrument.hpp"
 #include "support/parallel.hpp"
@@ -118,6 +121,56 @@ TEST(ArenaProbe, SteadyStateMoveEvaluationDoesNotAllocate) {
   }
   // Same mutations, same caches -> identical results (and the compiler
   // cannot elide the probe loop).
+  EXPECT_DOUBLE_EQ(checksum_probe, checksum_first);
+  set_default_thread_count(0);
+}
+
+TEST(ArenaProbe, SteadyStateExactBestResponseDoesNotAllocate) {
+  // Full-mode exact best responses (the NE-certification loop): facility
+  // rows, branch distance vectors, min-merge undo logs, branch outcomes and
+  // strategy sets all come from the arena, and the out-parameter form
+  // reuses the result's strategy storage.  A dial host and a heap host.
+  set_default_thread_count(1);
+  Rng rng(20261017);
+  const int n = 24;
+  const Game dense(random_one_two_host(n, 0.5, rng), /*alpha=*/1.6);
+  const Game euclid(HostGraph::from_points(uniform_points(n, 2, 100.0, rng),
+                                           2.0),
+                    /*alpha=*/40.0);
+  const DeviationEngine dense_engine(dense,
+                                     random_profile(dense, rng, 0.25));
+  const DeviationEngine euclid_engine(euclid,
+                                      random_profile(euclid, rng, 0.25));
+
+  BestResponseResult result;
+  const BestResponseOptions options;  // full mode, infinite incumbent
+  auto sweep = [&]() {
+    double checksum = 0.0;
+    for (const DeviationEngine* engine : {&dense_engine, &euclid_engine})
+      for (int u = 0; u < n; ++u) {
+        exact_best_response(*engine, u, options, result);
+        checksum += result.cost + static_cast<double>(result.evaluations);
+      }
+    return checksum;
+  };
+
+  double checksum_first = 0.0;
+  for (int i = 0; i < 2; ++i) checksum_first = sweep();
+
+  constexpr std::size_t kRowBuilds =
+      static_cast<std::size_t>(instrument::Counter::kBrRowBuilds);
+  const std::uint64_t rows_before = instrument::thread_counters()[kRowBuilds];
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  double checksum_probe = 0.0;
+  for (int i = 0; i < 3; ++i) checksum_probe = sweep();
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t rows_after = instrument::thread_counters()[kRowBuilds];
+
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state exact best responses performed heap allocations";
+  if (instrument::compiled_in()) {
+    EXPECT_GT(rows_after, rows_before);  // the row path ran
+  }
   EXPECT_DOUBLE_EQ(checksum_probe, checksum_first);
   set_default_thread_count(0);
 }

@@ -1,18 +1,29 @@
 // Tests for best-response machinery: the pruned exact search against the
 // unpruned brute force, the incremental br_search engine against the naive
-// per-subset-Dijkstra baseline, single-move scans, and the improvement
-// predicate.
+// per-subset-Dijkstra baseline (SUM and MAX, full, certification and
+// restricted searches), the facility-row identity the exact search runs on,
+// single-move scans, and the improvement predicate.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "core/best_response.hpp"
 #include "core/deviation_engine.hpp"
 #include "core/dynamics.hpp"
+#include "graph/dijkstra.hpp"
+#include "graph/distance_matrix.hpp"
+#include "graph/incremental_sssp.hpp"
 #include "metric/host_graph.hpp"
 #include "metric/points.hpp"
 #include "metric/tree.hpp"
+#include "support/instrument.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
+#include "variants/max_game.hpp"
 
 namespace gncg {
 namespace {
@@ -313,6 +324,268 @@ TEST(BrSearchDifferential, ThreadCountInvariant) {
         EXPECT_TRUE(parallel_cert.strategy == serial_cert.strategy);
       }
     }
+  }
+  set_default_thread_count(0);
+}
+
+TEST(BrSearchDifferential, MaxSearchMatchesNaiveAcrossBackends) {
+  // The MAX objective rides the same facility rows: full and certification
+  // searches against the naive MAX search on every backend, with forced
+  // double ownership, through both environment paths.
+  Rng rng(231);
+  for (int trial = 0; trial < 36; ++trial) {
+    const int n = 6 + (trial % 5);
+    const double alpha = rng.uniform_real(0.2, 4.0);
+    const Game game = random_backend_game(n, alpha, trial, rng);
+    StrategyProfile profile = random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 3, rng);
+    DeviationEngine engine(game, profile);
+    for (int u = 0; u < n; ++u) {
+      const auto naive = naive_max_exact_best_response(game, profile, u);
+      const auto fast = max_exact_best_response(game, profile, u);
+      EXPECT_TRUE(fast.strategy == naive.strategy)
+          << "trial " << trial << " agent " << u;
+      EXPECT_EQ(fast.improved, naive.improved);
+      StrategyProfile rewired = profile;
+      rewired.set_strategy(u, naive.strategy);
+      EXPECT_EQ(fast.cost, max_agent_cost(game, rewired, u))
+          << "trial " << trial << " agent " << u;
+      const auto via_engine = max_exact_best_response(engine, u);
+      EXPECT_EQ(via_engine.cost, fast.cost);
+      EXPECT_TRUE(via_engine.strategy == fast.strategy);
+      EXPECT_EQ(via_engine.evaluations, fast.evaluations);
+
+      BestResponseOptions options;
+      options.incumbent = max_agent_cost(game, profile, u);
+      options.first_improvement = true;
+      const auto naive_cert =
+          naive_max_exact_best_response(game, profile, u, options);
+      const auto fast_cert = max_exact_best_response(engine, u, options);
+      EXPECT_EQ(fast_cert.improved, naive_cert.improved)
+          << "trial " << trial << " agent " << u;
+      if (naive_cert.improved) {
+        EXPECT_TRUE(fast_cert.strategy == naive_cert.strategy)
+            << "trial " << trial << " agent " << u;
+      }
+    }
+  }
+}
+
+TEST(BrSearchDifferential, RestrictedSearchMatchesBruteForceAcrossBackends) {
+  // An exact (cap 0) search over a target shortlist -- with repeats and
+  // unpurchasable entries, as the spatial oracle may hand over -- must find
+  // the optimum over subsets of the list: brute force over those subsets
+  // cannot strictly improve on it, and its cost is the canonical cost.
+  Rng rng(237);
+  for (int trial = 0; trial < 36; ++trial) {
+    const int n = 7 + (trial % 6);
+    const double alpha = rng.uniform_real(0.2, 4.0);
+    const Game game = random_backend_game(n, alpha, trial, rng);
+    StrategyProfile profile = random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 3, rng);
+    DeviationEngine engine(game, profile);
+    for (int u = 0; u < n; ++u) {
+      std::vector<int> list;
+      for (int j = 0; j < 6; ++j)
+        list.push_back(static_cast<int>(
+            rng.uniform_below(static_cast<std::uint64_t>(n))));
+      BestResponseOptions options;
+      options.restrict_targets = &list;
+      const auto fast = exact_best_response(engine, u, options);
+
+      std::vector<int> targets;
+      for (int v : list)
+        if (game.can_buy(u, v)) targets.push_back(v);
+      std::sort(targets.begin(), targets.end());
+      targets.erase(std::unique(targets.begin(), targets.end()),
+                    targets.end());
+      const AgentEnvironment env(game, profile, u);
+      double brute = kInf;
+      for (std::uint32_t mask = 0; mask < (1U << targets.size()); ++mask) {
+        NodeSet set(n);
+        for (std::size_t i = 0; i < targets.size(); ++i)
+          if ((mask >> i) & 1U) set.insert(targets[i]);
+        brute = std::min(brute, env.cost_of(set));
+      }
+      fast.strategy.for_each([&](int v) {
+        EXPECT_TRUE(std::binary_search(targets.begin(), targets.end(), v))
+            << "trial " << trial << " agent " << u << " bought " << v;
+      });
+      EXPECT_EQ(fast.cost, env.cost_of(fast.strategy))
+          << "trial " << trial << " agent " << u;
+      EXPECT_FALSE(improves(brute, fast.cost))
+          << "trial " << trial << " agent " << u << ": " << brute << " < "
+          << fast.cost;
+      EXPECT_FALSE(fast.truncated);
+    }
+  }
+}
+
+// --- facility rows: the exact search's distance state ----------------------
+
+/// Host families of the row gate: dense 1-2 (dial kernel), dense integer
+/// weights in {0..3} (dial with zero-weight edges), lazy closure over real
+/// weights with zero-weight pairs (heap), euclidean (heap) and tree.
+constexpr int kRowFamilies = 5;
+
+Game row_gate_game(int family, int n, Rng& rng) {
+  const double alpha = rng.uniform_real(0.5, 4.0);
+  switch (family) {
+    case 0:
+      return Game(random_one_two_host(n, 0.5, rng), alpha);
+    case 1:
+    case 2: {
+      DistanceMatrix weights(n, 0.0);
+      for (int a = 0; a < n; ++a)
+        for (int b = a + 1; b < n; ++b) {
+          const double w =
+              family == 1 ? static_cast<double>(rng.uniform_int(0, 3))
+                          : (rng.bernoulli(0.2) ? 0.0
+                                                : rng.uniform_real(0.5, 9.5));
+          weights.set_symmetric(a, b, w);
+        }
+      return family == 1
+                 ? Game(HostGraph::from_weights(std::move(weights)), alpha)
+                 : Game(HostGraph::from_weights_lazy(std::move(weights)),
+                        alpha);
+    }
+    case 3:
+      return Game(HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0),
+                  alpha);
+    default:
+      return Game(HostGraph::from_tree(random_tree(n, rng, 1.0, 10.0)), alpha);
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(BrSearchRows, MinMergeOfSingleInsertRowsIsTheMultiInsertFixpoint) {
+  // d_S = min(base, min over x in S of row_x): for random subsets S on every
+  // backend, the min-merge of single-insert improvement rows must be
+  // bitwise equal to a fresh Dijkstra over environment + S and to stacked
+  // repairs in a random insertion order.
+  Rng rng(239);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int family = trial % kRowFamilies;
+    const int n = 8 + (trial % 7);
+    const Game game = row_gate_game(family, n, rng);
+    StrategyProfile profile = random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 3, rng);
+    DeviationEngine engine(game, profile);
+    for (int u = 0; u < n; ++u) {
+      const AgentEnvironment env(engine, u);
+      const auto environment_edges = [&](int x, auto&& visit) {
+        env.for_neighbors(x, visit);
+      };
+      std::vector<double> base;
+      dijkstra_over(n, u, environment_edges, base);
+
+      std::vector<int> candidates;
+      for (int v = 0; v < n; ++v)
+        if (game.can_buy(u, v)) candidates.push_back(v);
+      IncrementalSssp builder;
+      builder.reset(base);
+      std::vector<std::vector<std::pair<int, double>>> rows(candidates.size());
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        builder.append_improvement_row(candidates[i],
+                                       game.weight(u, candidates[i]),
+                                       environment_edges, rows[i]);
+        ASSERT_TRUE(same_bits(builder.dist(), base))
+            << "row build must leave the vector at base";
+        std::vector<char> seen(static_cast<std::size_t>(n), 0);
+        for (const auto& [t, d] : rows[i]) {
+          const auto ti = static_cast<std::size_t>(t);
+          EXPECT_FALSE(seen[ti]) << "node " << t << " listed twice";
+          seen[ti] = 1;
+          EXPECT_LT(d, base[ti]);
+        }
+      }
+
+      for (int draw = 0; draw < 6; ++draw) {
+        std::vector<std::size_t> chosen;
+        for (std::size_t i = 0; i < candidates.size(); ++i)
+          if (rng.bernoulli(0.4)) chosen.push_back(i);
+
+        std::vector<double> merged = base;
+        for (std::size_t i : chosen)
+          for (const auto& [t, d] : rows[i])
+            merged[static_cast<std::size_t>(t)] =
+                std::min(merged[static_cast<std::size_t>(t)], d);
+
+        NodeSet bought(n);
+        for (std::size_t i : chosen) bought.insert(candidates[i]);
+        std::vector<double> fresh;
+        dijkstra_over(
+            n, u,
+            [&](int x, auto&& visit) {
+              env.for_neighbors(x, visit);
+              if (x == u) {
+                bought.for_each([&](int v) { visit(v, game.weight(u, v)); });
+              } else if (bought.contains(x)) {
+                visit(u, game.weight(u, x));
+              }
+            },
+            fresh);
+        EXPECT_TRUE(same_bits(merged, fresh))
+            << "family " << family << " trial " << trial << " agent " << u
+            << " draw " << draw;
+
+        for (std::size_t j = chosen.size(); j > 1; --j)
+          std::swap(chosen[j - 1],
+                    chosen[static_cast<std::size_t>(rng.uniform_below(j))]);
+        IncrementalSssp stacked;
+        stacked.reset(base);
+        for (std::size_t i : chosen)
+          stacked.relax_insert(candidates[i], game.weight(u, candidates[i]),
+                               environment_edges);
+        EXPECT_TRUE(same_bits(merged, stacked.dist()))
+            << "family " << family << " trial " << trial << " agent " << u
+            << " draw " << draw;
+      }
+    }
+  }
+}
+
+TEST(BrSearchRows, ParallelRowBuildIsThreadCountInvariant) {
+  // Enough candidates that the row-build pass itself fans out over the pool
+  // (the small-n differentials build their rows serially): full searches
+  // must match the 1-thread run bit for bit, work counter included.
+  constexpr auto kRegions =
+      static_cast<std::size_t>(instrument::Counter::kPoolRegions);
+  std::uint64_t pooled_searches = 0;
+  const std::uint64_t regions_before = instrument::thread_counters()[kRegions];
+  Rng rng(243);
+  for (int trial = 0; trial < 4; ++trial) {
+    const int n = 48;
+    const Game game =
+        trial % 2 == 0
+            ? Game(random_one_two_host(n, 0.5, rng), /*alpha=*/n)
+            : Game(HostGraph::from_points(uniform_points(n, 2, 100.0, rng),
+                                          2.0),
+                   /*alpha=*/n * 4.0);
+    StrategyProfile profile = random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 8, rng);
+    const DeviationEngine engine(game, profile);
+    for (int u = 0; u < n; u += 7) {
+      set_default_thread_count(1);
+      const auto serial = exact_best_response(engine, u);
+      set_default_thread_count(0);
+      const auto parallel = exact_best_response(engine, u);
+      ++pooled_searches;
+      EXPECT_EQ(parallel.cost, serial.cost)
+          << "trial " << trial << " agent " << u;
+      EXPECT_TRUE(parallel.strategy == serial.strategy);
+      EXPECT_EQ(parallel.evaluations, serial.evaluations);
+    }
+  }
+  // More pool regions than searches: some row-build passes fanned out, not
+  // only the branch fan-outs.
+  if (instrument::compiled_in() && default_thread_count() > 1) {
+    EXPECT_GT(instrument::thread_counters()[kRegions] - regions_before,
+              pooled_searches);
   }
   set_default_thread_count(0);
 }

@@ -135,11 +135,14 @@ TEST(Instrument, BrSearchExpansionAccountingIsExact) {
 
   const ins::MetricsSnapshot before = ins::metrics_snapshot();
   std::uint64_t reported_evaluations = 0;
+  std::uint64_t candidates = 0;
   constexpr int kAgents = 6;
   for (int u = 0; u < kAgents; ++u) {
     BestResponseOptions options;  // full mode: every branch fully explored
     const BestResponseResult br = exact_best_response(engine, u, options);
     reported_evaluations += br.evaluations;
+    for (int v = 0; v < game.node_count(); ++v)
+      if (game.can_buy(u, v)) ++candidates;
   }
   const ins::CounterArray delta =
       ins::counters_delta(before, ins::metrics_snapshot());
@@ -153,6 +156,10 @@ TEST(Instrument, BrSearchExpansionAccountingIsExact) {
   // The instrument and the search's own result rows agree to the event.
   EXPECT_EQ(at(delta, ins::Counter::kBrEvaluations), reported_evaluations);
   EXPECT_GT(at(delta, ins::Counter::kBrExpansions), 0u);
+  // Exact mode builds at most one facility row per candidate, however many
+  // DFS nodes insert it (the pairing above holds over row min-merges).
+  EXPECT_GT(at(delta, ins::Counter::kBrRowBuilds), 0u);
+  EXPECT_LE(at(delta, ins::Counter::kBrRowBuilds), candidates);
 }
 
 // --- sweep metrics sink ---------------------------------------------------
