@@ -1,6 +1,8 @@
 #include "core/deviation_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "core/transposition.hpp"
@@ -40,6 +42,31 @@ double arena_sssp_sum(int n, int source, int dial_bound,
   for (double d : dist) total += d;
   return total;
 }
+
+/// Addition sums A_k = sum_t min(du[t], w[k] + dx[k][t]) of K targets in one
+/// pass over t.  Accumulator k performs exactly the single-target loop's
+/// operation sequence (one add per t, increasing t), so every sum is bitwise
+/// equal to a K = 1 pass.
+template <int K>
+void addition_sums(const std::vector<double>& du, const double* const* dx,
+                   const double* w, double* out) {
+  double total[K] = {};
+  for (std::size_t t = 0; t < du.size(); ++t) {
+    const double d = du[t];
+    for (int k = 0; k < K; ++k) total[k] += std::min(d, w[k] + dx[k][t]);
+  }
+  for (int k = 0; k < K; ++k) out[k] = total[k];
+}
+
+/// Flushes a scan's work counters once, from stack locals, on every exit.
+struct ScanCounters {
+  std::uint64_t sums = 0;
+  std::uint64_t prunes = 0;
+  ~ScanCounters() {
+    GNCG_COUNT_N(kEngineScanSums, sums);
+    GNCG_COUNT_N(kEngineScanFloorPrunes, prunes);
+  }
+};
 
 }  // namespace
 
@@ -358,24 +385,25 @@ double DeviationEngine::distance_cost_warm(int u) const {
   return warmed(u).dist_sum;
 }
 
-double DeviationEngine::strategy_weight(int u, int remove, int add) const {
+double DeviationEngine::strategy_weight(int u, const std::vector<double>& w,
+                                        int remove, int add) const {
   double total = 0.0;
   bool added = add < 0;
-  const double add_weight = add >= 0 ? game_->weight(u, add) : 0.0;
+  const double add_weight = add >= 0 ? w[idx(add)] : 0.0;
   profile_.strategy(u).for_each([&](int v) {
     if (v == remove) return;
     if (!added && add < v) {
       total += add_weight;
       added = true;
     }
-    total += game_->weight(u, v);
+    total += w[idx(v)];
   });
   if (!added) total += add_weight;
   return total;
 }
 
 double DeviationEngine::buying_cost(int u) const {
-  return game_->alpha() * strategy_weight(u, -1, -1);
+  return gncg::buying_cost(*game_, profile_, u);
 }
 
 double DeviationEngine::agent_cost(int u) {
@@ -387,19 +415,47 @@ double DeviationEngine::agent_cost_warm(int u) const {
 }
 
 double DeviationEngine::addition_distance_cost(int u, int x) {
-  ensure(u);
-  ensure(x);
-  return addition_distance_cost_warm(u, x);
+  const double* dx[1] = {ensure(x).dist.data()};
+  const double w[1] = {game_->weight(u, x)};
+  double total = 0.0;
+  addition_sums<1>(ensure(u).dist, dx, w, &total);
+  return total;
 }
 
-double DeviationEngine::addition_distance_cost_warm(int u, int x) const {
-  const auto& du = warmed(u).dist;
-  const auto& dx = warmed(x).dist;
-  const double w = game_->weight(u, x);
-  double total = 0.0;
-  for (std::size_t t = 0; t < du.size(); ++t)
-    total += std::min(du[t], w + dx[t]);
-  return total;
+// Soundness of the floor.  Write d for exact shortest-path distances in the
+// built network G, du/dx for the cached rows, S = S_u for u's cached sum,
+// g = max(0, fl(du[x] - w)), u_r = eps/2 for the unit roundoff and
+// c_k = k u_r / (1 - k u_r) for the recursive-summation constant.
+//  * A cached entry is some real path's length summed in floating point
+//    (at most n - 1 rounded adds), and no more than the shortest path's
+//    rounded sum: (1 - c) d <= row <= (1 + c) d with c = c_{n-1}.
+//  * Triangle inequality in G, d_x(t) >= d_u(t) - d_u(x), so
+//    dx[t] >= (1 - c) d_x(t) >= du[t] (1 - c)/(1 + c) - du[x]
+//          >= du[t] - du[x] - 2c du[t],
+//    i.e. w + dx[t] >= du[t] - (du[x] - w) - 2c du[t].  Hence
+//    min(du[t], w + dx[t]) >= du[t] - g' - 2c du[t] for t != u, with
+//    g' = max(0, du[x] - w) <= g + u_r du[x]; the t = u term is exactly 0.
+//  * fl(w + dx[t]) loses at most u_r of its value, and the term is at most
+//    du[t], so each computed term is >= du[t] - g' - (2c + u_r) du[t].
+//  * Summing n non-negative terms bounded by du[t] loses at most
+//    c_{n-1} sum du, and sum du >= S (1 - c_{n-1}) by the same bound on S.
+//  Together: computed A(x) >= S - (n-1) g - (4 c + u_r) S - (n-1) u_r du[x]
+//  up to O(n^2 u_r^2) terms, i.e. >= S - (n-1) g - 2 n eps S - n eps du[x].
+//  Evaluating the floor itself rounds three operations on magnitudes below
+//  S + n du[x] + slack.  slack = 4 n eps (S + n du[x]) covers all of it with
+//  a factor-of-two margin, so the computed floor never exceeds the computed
+//  sum.  Because fl(a + b) is monotone in each argument and `improves` is
+//  monotone in its candidate, a candidate whose edge cost plus floor cannot
+//  improve could never have improved with its real sum either.  (Distances
+//  are assumed normal numbers; subnormal distance sums do not occur.)
+double DeviationEngine::addition_floor(double dist_sum, double dist_to_x,
+                                       double weight, int n) {
+  if (!(dist_sum < kInf)) return -kInf;  // u disconnected: never prune
+  const double nodes = static_cast<double>(n);
+  const double gain = std::max(0.0, dist_to_x - weight);
+  const double slack = 4.0 * nodes * std::numeric_limits<double>::epsilon() *
+                       (dist_sum + nodes * dist_to_x);
+  return dist_sum - (nodes - 1.0) * gain - slack;
 }
 
 bool DeviationEngine::mark_reachable_without(int u, int v,
@@ -425,13 +481,12 @@ bool DeviationEngine::mark_reachable_without(int u, int v,
 }
 
 double DeviationEngine::bridge_swap_distance_cost(
-    int u, int x, const std::vector<char>& u_side) const {
+    int u, int x, double w, const std::vector<char>& u_side) const {
   // Deleting bridge (u,v) splits the network into the side reachable from u
   // (u_side) and the rest; distances within each side are untouched, and
   // after adding (u,x) every far-side node t is reached as u -> x ~> t.
   const auto& du = warmed(u).dist;
   const auto& dx = warmed(x).dist;
-  const double w = game_->weight(u, x);
   double total = 0.0;
   for (std::size_t t = 0; t < du.size(); ++t)
     total += u_side[t] != 0 ? du[t] : w + dx[t];
@@ -480,9 +535,20 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
   const int n = game_->node_count();
   const double alpha = game_->alpha();
   const AgentCache& cu = warmed(u);
+  ScanCounters counters;
+  // Arena-backed scratch, owned by the calling worker so parallel warm
+  // scans never collide: u's host weights, read once (w[u] = kInf makes
+  // `w[x] < kInf` the can_buy test), and the addition-sum memo.
+  ScratchArena& arena = worker_arena();
+  std::vector<double>& w = arena.scan_weights();
+  w.resize(static_cast<std::size_t>(n));
+  for (int x = 0; x < n; ++x) w[idx(x)] = x == u ? kInf : game_->weight(u, x);
+  std::vector<double>& memo = arena.scan_memo();
+  memo.assign(static_cast<std::size_t>(n),
+              std::numeric_limits<double>::quiet_NaN());
 
   SingleMoveResult result;
-  result.current_cost = alpha * strategy_weight(u, -1, -1) + cu.dist_sum;
+  result.current_cost = alpha * strategy_weight(u, w, -1, -1) + cu.dist_sum;
   result.cost = result.current_cost;
 
   const auto consider = [&](MoveType type, int remove, int add, double cost) {
@@ -492,27 +558,69 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
       result.improved = true;
     }
   };
-  // Delta evaluation of an addition from cached vectors; the u-and-x loop
-  // below never passes an x whose built edge already exists, so the warmed
-  // caches of u and x fully determine the new distances.
-  const auto addition_cost = [&](int x) {
-    return addition_distance_cost_warm(u, x);
+  const auto memoized = [&](int x) { return !std::isnan(memo[idx(x)]); };
+  // True when even the O(1) floor of A(x) cannot make a candidate of this
+  // edge cost beat the incumbent: A(x) is then never computed.
+  const auto floor_skips = [&](double edge_cost, int x) {
+    return !improves(
+        edge_cost + addition_floor(cu.dist_sum, cu.dist[idx(x)], w[idx(x)], n),
+        result.cost);
+  };
+  // A(x) = sum_t min(d(u,t), w(u,x) + d(x,t)) for a target x with no built
+  // edge (u,x), computed at most once per scan.  On a miss a full scan also
+  // fills up to three later targets the calling loop will ask for
+  // (`wanted`) in the same pass over t; early-exit scans fill one at a time
+  // so they stop at the same first improver.
+  const auto addition_sum = [&](int x, auto&& wanted) {
+    if (memoized(x)) return memo[idx(x)];
+    int batch[4] = {x, 0, 0, 0};
+    int k = 1;
+    if (!early_exit)
+      for (int y = x + 1; y < n && k < 4; ++y)
+        if (!memoized(y) && wanted(y)) batch[k++] = y;
+    const double* rows[4] = {};
+    double weights[4] = {};
+    double sums[4] = {};
+    for (int i = 0; i < k; ++i) {
+      rows[i] = warmed(batch[i]).dist.data();
+      weights[i] = w[idx(batch[i])];
+    }
+    switch (k) {
+      case 1: addition_sums<1>(cu.dist, rows, weights, sums); break;
+      case 2: addition_sums<2>(cu.dist, rows, weights, sums); break;
+      case 3: addition_sums<3>(cu.dist, rows, weights, sums); break;
+      default: addition_sums<4>(cu.dist, rows, weights, sums); break;
+    }
+    for (int i = 0; i < k; ++i) memo[idx(batch[i])] = sums[i];
+    counters.sums += static_cast<std::uint64_t>(k);
+    return memo[idx(x)];
   };
 
   if (flags.adds) {
+    const auto addable = [&](int x) {
+      return w[idx(x)] < kInf && !profile_.has_edge(u, x);
+    };
+    const auto add_edge_cost = [&](int x) {
+      return alpha * strategy_weight(u, w, -1, x);
+    };
+    const auto wanted = [&](int y) {
+      return addable(y) && !floor_skips(add_edge_cost(y), y);
+    };
     for (int x = 0; x < n; ++x) {
-      if (x == u || !game_->can_buy(u, x) || profile_.has_edge(u, x)) continue;
-      consider(MoveType::kAdd, -1, x,
-               alpha * strategy_weight(u, -1, x) + addition_cost(x));
+      if (!addable(x)) continue;
+      const double edge_cost = add_edge_cost(x);
+      if (!memoized(x) && floor_skips(edge_cost, x)) {
+        ++counters.prunes;
+        continue;
+      }
+      consider(MoveType::kAdd, -1, x, edge_cost + addition_sum(x, wanted));
       if (early_exit && result.improved) return result;
     }
   }
 
   if (flags.deletes || flags.swaps) {
-    // Arena-backed scratch: the owned-target list replaces a per-scan
-    // to_vector() allocation, the side-mark buffer a per-scan vector.  Both
-    // belong to the calling worker, so parallel warm scans never collide.
-    ScratchArena& arena = worker_arena();
+    // The owned-target list replaces a per-scan to_vector() allocation, the
+    // side-mark buffer a per-scan vector.
     std::vector<int>& owned = arena.owned_targets();
     owned.clear();
     profile_.strategy(u).for_each([&](int v) { owned.push_back(v); });
@@ -525,12 +633,12 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
       if (flags.deletes) {
         if (doubly) {
           consider(MoveType::kDelete, v, -1,
-                   alpha * strategy_weight(u, v, -1) + cu.dist_sum);
+                   alpha * strategy_weight(u, w, v, -1) + cu.dist_sum);
         } else if (!bridge) {
           // Removing an edge cannot shrink any distance, so the current
           // distance sum is an admissible bound: run Dijkstra only when the
           // alpha saving alone could beat the incumbent.
-          const double edge_cost = alpha * strategy_weight(u, v, -1);
+          const double edge_cost = alpha * strategy_weight(u, w, v, -1);
           if (improves(edge_cost + cu.dist_sum, result.cost)) {
             consider(MoveType::kDelete, v, -1,
                      edge_cost + masked_distance_cost(u, v, -1));
@@ -541,31 +649,52 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
       }
 
       if (flags.swaps) {
+        // Swapping to an already-present edge is dominated by the plain
+        // deletion, so such x are skipped when deletions are in the move
+        // set; swap-only scans must consider them (see scan semantics in
+        // best_response.cpp).  Past a deleted bridge, targets on u's side
+        // leave u disconnected (kInf).
+        const auto swap_target = [&](int x) {
+          if (x == v || !(w[idx(x)] < kInf)) return false;
+          if (flags.deletes ? profile_.has_edge(u, x)
+                            : profile_.strategy(u).contains(x))
+            return false;
+          return !bridge || u_side[idx(x)] == 0;
+        };
+        const auto swap_edge_cost = [&](int x) {
+          return alpha * strategy_weight(u, w, v, x);
+        };
+        const auto wanted = [&](int y) {
+          return swap_target(y) && !profile_.has_edge(u, y) &&
+                 !floor_skips(swap_edge_cost(y), y);
+        };
         for (int x = 0; x < n; ++x) {
-          if (x == u || x == v || !game_->can_buy(u, x)) continue;
-          // Swapping to an already-present edge is dominated by the plain
-          // deletion, so such x are skipped when deletions are in the move
-          // set; swap-only scans must consider them (see scan semantics in
-          // best_response.cpp).
-          if (flags.deletes && profile_.has_edge(u, x)) continue;
-          if (!flags.deletes && profile_.strategy(u).contains(x)) continue;
+          if (!swap_target(x)) continue;
           const bool duplicate = profile_.has_edge(u, x);
-          const double edge_cost = alpha * strategy_weight(u, v, x);
+          const double edge_cost = swap_edge_cost(x);
+          // Every swap's distance sum is at least A(x) (or S_u for a
+          // duplicate): the doubly-owned swap is the pure addition; a
+          // bridge swap's terms are each one of A(x)'s two min arguments,
+          // and an in-order floating-point sum is monotone in each term;
+          // a non-bridge deletion cannot shrink any distance of G + (u,x).
+          if (!duplicate && !memoized(x) && floor_skips(edge_cost, x)) {
+            ++counters.prunes;
+            continue;
+          }
+          const double dist_bound =
+              duplicate ? cu.dist_sum : addition_sum(x, wanted);
           double cost;
           if (doubly) {
-            // The deleted edge stays built; the swap is a pure addition.
-            cost = edge_cost + (duplicate ? cu.dist_sum : addition_cost(x));
-          } else if (bridge) {
-            if (u_side[idx(x)] != 0) continue;  // still disconnected: kInf
-            cost = edge_cost + bridge_swap_distance_cost(u, x, u_side);
+            cost = edge_cost + dist_bound;
           } else {
-            // Distances in G - (u,v) + (u,x) are bounded below by distances
-            // in G + (u,x) (deleting only hurts), which the cached vectors
-            // evaluate in O(n); Dijkstra runs only past that bound.
-            const double dist_bound =
-                duplicate ? cu.dist_sum : addition_cost(x);
             if (!improves(edge_cost + dist_bound, result.cost)) continue;
-            cost = edge_cost + masked_distance_cost(u, v, x);
+            if (bridge) {
+              ++counters.sums;
+              cost = edge_cost + bridge_swap_distance_cost(u, x, w[idx(x)],
+                                                           u_side);
+            } else {
+              cost = edge_cost + masked_distance_cost(u, v, x);
+            }
           }
           consider(MoveType::kSwap, v, x, cost);
           if (early_exit && result.improved) return result;

@@ -28,6 +28,21 @@
 //        arena.hpp), pruned by the admissible bound "distances cannot
 //        shrink when an edge is removed".
 //
+// Scan work per agent u (scan_moves).  u's host weights are read once into
+// an arena row.  The addition sum A(x) = sum_t min(d(u,t), w(u,x) + d(x,t))
+// is computed at most once per scan into an arena memo that the add loop
+// and every swap branch share: it is the cost of an addition and of a
+// doubly-owned swap, and a lower bound on every other swap to x -- a
+// non-bridge swap cannot beat G + (u,x), and each term of a bridge swap's
+// sum is one of the two arguments of A's min, so the in-order sum is >=
+// A(x) bit for bit.  Full scans fill the memo four targets per pass over t
+// (one accumulator each, the single-target operation order, so the sums
+// are bitwise unchanged); early-exit scans fill it lazily.  Before any sum
+// or masked Dijkstra a candidate must pass the O(1) floor
+// addition_floor(S_u, d(u,x), w(u,x), n) <= A(x): a candidate whose edge
+// cost plus floor cannot improve on the incumbent is skipped, which never
+// changes a result because `improves` and rounded addition are monotone.
+//
 // All SSSP work runs over a flat CSR adjacency slab (graph/csr_adjacency.hpp)
 // and draws every scratch buffer from the calling worker's ScratchArena, so
 // steady-state move evaluation performs no heap allocation.  On hosts whose
@@ -170,6 +185,16 @@ class DeviationEngine {
   /// cached vectors of u and x: sum_t min(d(u,t), w(u,x) + d(x,t)).
   double addition_distance_cost(int u, int x);
 
+  /// O(1) floor on the addition sum A(x) that addition_distance_cost(u, x)
+  /// computes, from u's distance sum S_u, u's distance to x and w(u,x):
+  /// S_u - (n-1) max(0, d(u,x) - w(u,x)) - slack.  The triangle inequality
+  /// d(x,t) >= d(u,t) - d(u,x) bounds every term, and the slack covers the
+  /// rounding of the cached rows and of both sums, so the floor is <= the
+  /// computed sum in floating point (derivation at the definition).  -kInf
+  /// when S_u is infinite (never prunes).
+  static double addition_floor(double dist_sum, double dist_to_x,
+                               double weight, int n);
+
   /// Best single move / addition / swap of agent u.  Same semantics, scan
   /// order and tie-breaking as the naive free functions.
   SingleMoveResult best_single_move(int u);
@@ -248,9 +273,11 @@ class DeviationEngine {
 
   /// alpha-free total weight of (S_u \ {remove}) ∪ {add} summed in
   /// increasing-target order (exactly the naive NodeSet::for_each order, so
-  /// integer-weight hosts match the naive path bit-for-bit).  Pass -1 to
-  /// skip either part; `add` must not already be in S_u.
-  double strategy_weight(int u, int remove, int add) const;
+  /// integer-weight hosts match the naive path bit-for-bit), reading u's
+  /// host weights from the row `w`.  Pass -1 to skip either part; `add`
+  /// must not already be in S_u.
+  double strategy_weight(int u, const std::vector<double>& w, int remove,
+                         int add) const;
 
   const AgentCache& warmed(int u) const;
   const AgentCache& ensure(int u);
@@ -259,17 +286,14 @@ class DeviationEngine {
   /// epoch from the logged edits; bitwise equal to a refill.
   void repair(int u, AgentCache& cache) const;
 
-  /// Warm-cache body of addition_distance_cost (shared with scan_moves).
-  double addition_distance_cost_warm(int u, int x) const;
-
   /// Marks the nodes reachable from u in the built network minus edge (u,v)
   /// into `mark`; returns true when v is still reachable (the edge is not a
   /// bridge).
   bool mark_reachable_without(int u, int v, std::vector<char>& mark) const;
 
-  /// Distance cost of u after swapping bridge (u,v) for (u,x): cached u-side
-  /// distances plus w(u,x) + cached x-distances on the far side.
-  double bridge_swap_distance_cost(int u, int x,
+  /// Distance cost of u after swapping bridge (u,v) for (u,x) of weight w:
+  /// cached u-side distances plus w + cached x-distances on the far side.
+  double bridge_swap_distance_cost(int u, int x, double w,
                                    const std::vector<char>& u_side) const;
 
   /// Dijkstra distance cost of u with edge (u,remove) masked out of the

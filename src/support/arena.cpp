@@ -14,6 +14,7 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += owned_targets_.capacity() * sizeof(int);
   total += side_mark_.capacity() * sizeof(char);
   total += dfs_stack_.capacity() * sizeof(int);
+  total += (scan_weights_.capacity() + scan_memo_.capacity()) * sizeof(double);
   total += repair_.affected_mark.capacity() * sizeof(char);
   total += repair_.affected.capacity() * sizeof(int);
   total += repair_.heap.capacity() * sizeof(detail::HeapEntry);

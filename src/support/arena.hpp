@@ -11,7 +11,8 @@
 //     that bounded best-response branches repair,
 //   * the exact best-response facility rows and branch min-merge state,
 //   * the deviation engine's scan scratch (owned-target list, side marks,
-//     DFS stack, distance-sum vector) and its row-repair scratch,
+//     DFS stack, distance-sum vector, host-weight row, addition-sum memo)
+//     and its row-repair scratch,
 //   * the best-response driver's candidate/weight/base-distance rows.
 //
 // `worker_arena()` hands the calling thread its arena, creating and
@@ -69,6 +70,12 @@ class ScratchArena {
 
   /// Explicit DFS stack for reachability sweeps.
   std::vector<int>& dfs_stack() { return dfs_stack_; }
+
+  /// Host weights w(u, x) of the scanning agent u, read once per scan.
+  std::vector<double>& scan_weights() { return scan_weights_; }
+
+  /// Per-scan memo of the addition sums A(x) by target (NaN = not computed).
+  std::vector<double>& scan_memo() { return scan_memo_; }
 
   // --- deviation-engine row repair scratch ---
   //
@@ -163,6 +170,8 @@ class ScratchArena {
   BrScratch br_;
   BrRowScratch br_rows_;
   LadderScratch ladder_;
+  std::vector<double> scan_weights_;
+  std::vector<double> scan_memo_;
 };
 
 /// The calling thread's arena, created and registered on first use.  Stable

@@ -65,6 +65,8 @@ const char* counter_name(Counter counter) {
     case Counter::kBrRowBuilds: return "br_row_builds";
     case Counter::kBrRowEntries: return "br_row_entries";
     case Counter::kBrMergeWrites: return "br_merge_writes";
+    case Counter::kEngineScanSums: return "engine_scan_sums";
+    case Counter::kEngineScanFloorPrunes: return "engine_scan_floor_prunes";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -136,6 +136,13 @@ enum class Counter : int {
   kBrRowEntries,  ///< (node, distance) entries across built rows
   kBrMergeWrites, ///< distances lowered by row min-merges (undo entries)
 
+  // Deviation-engine single-move scans (core/deviation_engine.cpp): O(n)
+  // addition and bridge-swap sums a scan computed, and candidates the O(1)
+  // addition floor skipped before any sum or masked Dijkstra.  Flushed once
+  // per scan.
+  kEngineScanSums,         ///< O(n) addition / bridge sums computed
+  kEngineScanFloorPrunes,  ///< candidates skipped by the O(1) floor
+
   kCount
 };
 

@@ -3,12 +3,11 @@
 //
 // The probes enforce "hot paths draw every buffer from the worker arena":
 // global operator new/delete are replaced with counting versions, the engine
-// loop (mutate -> warm_distances -> warm single-move scans ->
-// cost_of_strategy) and a full-mode exact best-response sweep are each run
-// until warm, and then further identical iterations must perform ZERO heap
-// allocations.  Any
-// future per-call vector, to_vector(), or std::function sneaking into the
-// scan/SSSP paths turns this red.
+// loop (mutate -> warm_distances -> warm single-move scans on a dial and a
+// heap host -> cost_of_strategy) and a full-mode exact best-response sweep
+// are each run until warm, and then further identical iterations must
+// perform ZERO heap allocations.  Any future per-call vector, to_vector(), or
+// std::function sneaking into the scan/SSSP paths turns this red.
 //
 // Each mutation leaves every row one epoch stale, so warm_distances() runs
 // the engine's edit-log row repair; the probe asserts that path was taken.
@@ -66,6 +65,14 @@ TEST(ArenaProbe, SteadyStateMoveEvaluationDoesNotAllocate) {
   const Game game(random_one_two_host(n, 0.5, rng), /*alpha=*/1.6);
   DeviationEngine engine(game, random_profile(game, rng, 0.25));
   ASSERT_TRUE(engine.dial_enabled());  // 1-2 host: bucket-queue path
+  // A euclidean host on the binary heap: its warm single-move scans (host
+  // weight row, addition-sum memo, masked Dijkstras) join every iteration.
+  const Game euclid(HostGraph::from_points(uniform_points(n, 2, 100.0, rng),
+                                           2.0),
+                    /*alpha=*/40.0);
+  DeviationEngine heap_engine(euclid, random_profile(euclid, rng, 0.25));
+  ASSERT_FALSE(heap_engine.dial_enabled());
+  heap_engine.warm_distances();
 
   // A toggled edge not present in the profile, so add/remove flips the
   // built topology (and therefore invalidates every distance cache) each
@@ -93,6 +100,7 @@ TEST(ArenaProbe, SteadyStateMoveEvaluationDoesNotAllocate) {
     for (int a = 0; a < n; ++a) {
       checksum += engine.best_single_move_warm(a).cost;
       checksum += engine.cost_of_strategy(a, probe_strategy);
+      checksum += heap_engine.best_single_move_warm(a).cost;
     }
     engine.remove_buy(flip_u, flip_v);
     engine.warm_distances();

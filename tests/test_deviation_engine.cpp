@@ -15,6 +15,14 @@
 // The DeviationEngineRepair suite gates the edit-log row repair: after any
 // mutation sequence, every row a stale engine serves (repaired or refilled)
 // is bitwise equal to a fresh engine's refill on the same profile.
+//
+// The DeviationEngineScan suite gates the scan's addition-sum memo,
+// four-target passes and O(1) floor on the profiles where pruning bites:
+// near-equilibrium dynamics states (few improving moves, near-ties at
+// alpha ~ 0), double ownership, bridge-only trees and disconnected
+// profiles.  It also probes the floor's soundness on every backend
+// (including coordinates around 1e6, where rounding is largest) and the
+// thread-count independence of parallel warm proposals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +36,7 @@
 #include "core/cost.hpp"
 #include "core/deviation_engine.hpp"
 #include "core/dynamics.hpp"
+#include "core/dynamics_policy.hpp"
 #include "core/equilibrium.hpp"
 #include "core/profile_gen.hpp"
 #include "metric/host_graph.hpp"
@@ -676,6 +685,241 @@ TEST(DeviationEngineRepair, WarmDistancesByteIdenticalAcrossThreadCounts) {
           ASSERT_EQ(bits(a[t]), bits(b[t])) << "step " << step << " agent " << u;
         ASSERT_EQ(bits(serial.distance_cost_warm(u)),
                   bits(pooled.distance_cost_warm(u)));
+      }
+    }
+  }
+}
+
+// --- single-move scans: memo, four-target passes, O(1) floor ---------------
+
+/// Host families of the scan suite: dense 1-2 (dial), dense integer weights
+/// in {0..3} (dial, zero-weight edges), dense integers in [1, 9], euclidean
+/// and tree.  The first three sum exactly in doubles.
+constexpr int kScanFamilies = 5;
+
+bool scan_family_exact(int family) { return family < 3; }
+
+HostGraph scan_host(int family, int n, Rng& rng) {
+  switch (family) {
+    case 0:
+      return random_one_two_host(n, 0.5, rng);
+    case 1: {
+      DistanceMatrix weights(n, 0.0);
+      for (int u = 0; u < n; ++u)
+        for (int v = u + 1; v < n; ++v)
+          weights.set_symmetric(u, v,
+                                static_cast<double>(rng.uniform_int(0, 3)));
+      return HostGraph::from_weights(std::move(weights));
+    }
+    case 2:
+      return random_integer_host(n, rng);
+    case 3:
+      return HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0);
+    default:
+      return HostGraph::from_tree(random_tree(n, rng));
+  }
+}
+
+/// Round-robin best-single-move dynamics from `start`, stopped `short_by`
+/// moves before the run ends (0 = the final, usually converged, profile).
+StrategyProfile settled_profile(const Game& game, const StrategyProfile& start,
+                                std::uint64_t short_by) {
+  DynamicsOptions options;
+  options.rule = MoveRule::kBestSingleMove;
+  options.record_steps = false;
+  const DynamicsResult full = run_dynamics(game, start, options);
+  if (short_by == 0 || full.moves <= short_by) return full.final_profile;
+  options.max_moves = full.moves - short_by;
+  return run_dynamics(game, start, options).final_profile;
+}
+
+void expect_scan_matches(const SingleMoveResult& from_engine,
+                         const SingleMoveResult& from_naive, bool exact) {
+  expect_move_eq(from_engine, from_naive, exact);
+  if (!exact) return;
+  EXPECT_EQ(bits(from_engine.cost), bits(from_naive.cost));
+  EXPECT_EQ(bits(from_engine.current_cost), bits(from_naive.current_cost));
+}
+
+/// Every scan family and every has_improving_* predicate of a fresh engine
+/// against the naive scans: bitwise on exact hosts, 1e-12 otherwise.
+void expect_scans_match_naive(const Game& game, const StrategyProfile& s,
+                              bool exact) {
+  DeviationEngine engine(game, s);
+  for (int u = 0; u < game.node_count(); ++u) {
+    SCOPED_TRACE(::testing::Message() << "agent " << u);
+    const SingleMoveResult single = naive_best_single_move(game, s, u);
+    const SingleMoveResult addition = naive_best_addition(game, s, u);
+    const SingleMoveResult swap = naive_best_swap(game, s, u);
+    expect_scan_matches(engine.best_single_move(u), single, exact);
+    expect_scan_matches(engine.best_addition(u), addition, exact);
+    expect_scan_matches(engine.best_swap(u), swap, exact);
+    EXPECT_EQ(engine.has_improving_single_move(u), single.improved);
+    EXPECT_EQ(engine.has_improving_addition(u), addition.improved);
+    EXPECT_EQ(engine.has_improving_swap(u), swap.improved);
+  }
+}
+
+std::uint64_t floor_prunes() {
+  return instrument::thread_counters()[static_cast<std::size_t>(
+      Counter::kEngineScanFloorPrunes)];
+}
+
+TEST(DeviationEngineScan, NearEquilibriumScansMatchNaive) {
+  const std::uint64_t prunes_before = floor_prunes();
+  Rng rng(1401);
+  for (int family = 0; family < kScanFamilies; ++family) {
+    const int n = 16 + static_cast<int>(rng.uniform_below(33));  // [16, 48]
+    const HostGraph host = scan_host(family, n, rng);
+    const double n_real = static_cast<double>(n);
+    // Game requires alpha > 0; 2^-10 stands in for "edges are free".
+    for (const double alpha : {0x1p-10, 0.5, n_real / 4.0, n_real}) {
+      const Game game(host, alpha);
+      const StrategyProfile start = random_profile(game, rng, 0.05);
+      for (const std::uint64_t short_by : {0u, 3u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "family " << family << " n " << n << " alpha "
+                     << alpha << " short_by " << short_by);
+        expect_scans_match_naive(game, settled_profile(game, start, short_by),
+                                 scan_family_exact(family));
+        if (HasFailure()) return;
+      }
+    }
+  }
+  if (instrument::compiled_in()) {
+    EXPECT_GT(floor_prunes(), prunes_before);
+  }
+}
+
+TEST(DeviationEngineScan, OwnershipBridgeAndDisconnectedProfilesMatchNaive) {
+  const std::uint64_t prunes_before = floor_prunes();
+  Rng rng(1403);
+  for (int family = 0; family < kScanFamilies; ++family) {
+    const int n = 16 + static_cast<int>(rng.uniform_below(17));  // [16, 32]
+    const HostGraph host = scan_host(family, n, rng);
+    const bool exact = scan_family_exact(family);
+    for (const double alpha : {0.5, static_cast<double>(n) / 4.0}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "family " << family << " n " << n << " alpha " << alpha);
+      const Game game(host, alpha);
+      // Bridge-only: every built edge of a recursive tree is a bridge.
+      const StrategyProfile tree = recursive_tree_profile(game, rng);
+      expect_scans_match_naive(game, tree, exact);
+      // Forced double ownership on a settled profile.
+      StrategyProfile doubled =
+          settled_profile(game, random_profile(game, rng, 0.1), 0);
+      for (int u = 0; u < n; ++u)
+        for (int v = 0; v < n; ++v)
+          if (u != v && doubled.buys(u, v) && rng.bernoulli(0.4))
+            doubled.add_buy(v, u);
+      expect_scans_match_naive(game, doubled, exact);
+      // Disconnected: drop one solely owned tree edge (S_u = inf for all).
+      StrategyProfile cut = tree;
+      for (int u = 0; u < n; ++u) {
+        const int v = random_owned(cut, u, rng);
+        if (v >= 0 && !cut.buys(v, u)) {
+          cut.remove_buy(u, v);
+          break;
+        }
+      }
+      ASSERT_FALSE(social_cost(game, cut) < kInf);
+      expect_scans_match_naive(game, cut, exact);
+      if (HasFailure()) return;
+    }
+  }
+  if (instrument::compiled_in()) {
+    EXPECT_GT(floor_prunes(), prunes_before);
+  }
+}
+
+/// n points on a line at coordinates around 1e6, bought as a path in
+/// coordinate order: the triangle inequality is tight along the line, so
+/// the floor meets the sum up to rounding.
+std::pair<Game, StrategyProfile> collinear_far_game(int n, Rng& rng) {
+  PointSet points(n, 1);
+  double at = 1e6;
+  for (int i = 0; i < n; ++i) {
+    points.set_coord(i, 0, at);
+    at += rng.uniform_real(0.1, 3.0);
+  }
+  Game game(HostGraph::from_points(points, 2.0), 1.0);
+  StrategyProfile path(n);
+  for (int i = 0; i + 1 < n; ++i) path.add_buy(i, i + 1);
+  return {std::move(game), std::move(path)};
+}
+
+TEST(DeviationEngineScan, AdditionFloorNeverExceedsTheComputedSum) {
+  Rng rng(1405);
+  const int n = 40;
+  std::vector<std::pair<Game, StrategyProfile>> cases;
+  PointSet far_points(n, 2);
+  for (int i = 0; i < n; ++i)
+    for (int axis = 0; axis < 2; ++axis)
+      far_points.set_coord(i, axis, 1e6 + rng.uniform_real(0.0, 100.0));
+  const std::vector<Game> games = {
+      Game(random_one_two_host(n, 0.5, rng), 1.0),             // dense, dial
+      Game(random_metric_host(n, rng), 1.0),                   // dense, real
+      repair_game(2, n, rng),                                  // lazy closure
+      Game(HostGraph::from_points(uniform_points(n, 3, 100.0, rng), 2.0),
+           1.0),                                               // euclidean
+      Game(HostGraph::from_points(far_points, 2.0), 1.0),      // near 1e6
+      Game(HostGraph::from_tree(random_tree(n, rng)), 1.0)};   // tree
+  for (const Game& game : games) {
+    cases.emplace_back(game, random_profile(game, rng, 0.05));
+    cases.emplace_back(game, recursive_tree_profile(game, rng));
+  }
+  cases.push_back(collinear_far_game(n, rng));
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Game& game = cases[c].first;
+    DeviationEngine engine(game, cases[c].second);
+    for (int u = 0; u < n; ++u)
+      for (int x = 0; x < n; ++x) {
+        if (!game.can_buy(u, x)) continue;
+        const double floor = DeviationEngine::addition_floor(
+            engine.distance_cost(u),
+            engine.distances(u)[static_cast<std::size_t>(x)],
+            game.weight(u, x), n);
+        ASSERT_LE(floor, engine.addition_distance_cost(u, x))
+            << "case " << c << " agent " << u << " target " << x;
+      }
+  }
+  // A disconnected agent (S_u = inf) is never pruned.
+  EXPECT_EQ(DeviationEngine::addition_floor(kInf, 3.0, 1.0, 8), -kInf);
+}
+
+TEST(DeviationEngineScan, WarmProposalsByteIdenticalAcrossThreadCounts) {
+  const ThreadGuard guard;
+  Rng rng(1407);
+  for (int family = 0; family < kScanFamilies; ++family) {
+    SCOPED_TRACE(::testing::Message() << "family " << family);
+    const int n = 40;
+    const Game game(scan_host(family, n, rng), 2.0);
+    const StrategyProfile start = random_profile(game, rng, 0.05);
+    for (const std::uint64_t short_by : {0u, 5u, 40u}) {
+      DeviationEngine engine(game, settled_profile(game, start, short_by));
+      engine.warm_distances();
+      const DeviationEngine& warm = engine;
+      PolicyConfig config;
+      config.node_count = n;
+      const auto rule = make_move_rule(MoveRule::kBestSingleMove, config);
+      // The parallel-MGM proposal step: one writer per slot.
+      const auto propose_all = [&](std::size_t threads) {
+        set_default_thread_count(threads);
+        std::vector<Proposal> out(static_cast<std::size_t>(n));
+        parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t u) {
+          out[u] = rule->propose_warm(warm, static_cast<int>(u));
+        });
+        return out;
+      };
+      const std::vector<Proposal> serial = propose_all(1);
+      const std::vector<Proposal> pooled = propose_all(4);
+      for (int u = 0; u < n; ++u) {
+        const Proposal& a = serial[static_cast<std::size_t>(u)];
+        const Proposal& b = pooled[static_cast<std::size_t>(u)];
+        ASSERT_EQ(a.improving, b.improving) << "agent " << u;
+        ASSERT_TRUE(a.strategy == b.strategy) << "agent " << u;
+        ASSERT_EQ(bits(a.old_cost), bits(b.old_cost)) << "agent " << u;
+        ASSERT_EQ(bits(a.new_cost), bits(b.new_cost)) << "agent " << u;
       }
     }
   }

@@ -7,6 +7,9 @@
 //    delta(evaluations) == delta(expansions) + delta(searches), and the
 //    instrument's evaluation count equals the per-result counts the search
 //    already reported;
+//  * the single-move scan accounting invariant -- a full add-only scan
+//    either computes a candidate's addition sum or skips it by the O(1)
+//    floor, exactly once, so delta(sums) + delta(prunes) == candidates;
 //  * the sweep metrics sink: per-job counter records are byte-identical
 //    for any runner thread count (jobs are pinned while collecting), the
 //    JSONL is schema-tagged and carries every counter by name;
@@ -29,7 +32,9 @@
 
 #include "core/best_response.hpp"
 #include "core/deviation_engine.hpp"
+#include "core/profile_gen.hpp"
 #include "metric/host_graph.hpp"
+#include "metric/points.hpp"
 #include "support/instrument.hpp"
 #include "support/rng.hpp"
 #include "sweep/jsonl.hpp"
@@ -160,6 +165,35 @@ TEST(Instrument, BrSearchExpansionAccountingIsExact) {
   // DFS nodes insert it (the pairing above holds over row min-merges).
   EXPECT_GT(at(delta, ins::Counter::kBrRowBuilds), 0u);
   EXPECT_LE(at(delta, ins::Counter::kBrRowBuilds), candidates);
+}
+
+TEST(Instrument, AddOnlyScanCountsEveryCandidateOnce) {
+  if (!ins::compiled_in()) GTEST_SKIP() << "GNCG_INSTRUMENT=OFF";
+  Rng rng(4343);
+  const int n = 32;
+  const Game dense(random_one_two_host(n, 0.5, rng), 2.0);
+  const Game euclid(
+      HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0), 40.0);
+  std::uint64_t all_prunes = 0;
+  for (const Game* game : {&dense, &euclid}) {
+    DeviationEngine engine(*game, random_profile(*game, rng, 0.1));
+    engine.warm_distances();
+    for (int u = 0; u < n; ++u) {
+      std::uint64_t candidates = 0;
+      for (int x = 0; x < n; ++x)
+        if (game->can_buy(u, x) && !engine.profile().has_edge(u, x))
+          ++candidates;
+      const ins::ThreadFrame frame;
+      engine.best_addition_warm(u);
+      const ins::CounterArray delta = frame.delta();
+      EXPECT_EQ(at(delta, ins::Counter::kEngineScanSums) +
+                    at(delta, ins::Counter::kEngineScanFloorPrunes),
+                candidates)
+          << "agent " << u;
+      all_prunes += at(delta, ins::Counter::kEngineScanFloorPrunes);
+    }
+  }
+  EXPECT_GT(all_prunes, 0u);  // the floor fired
 }
 
 // --- sweep metrics sink ---------------------------------------------------
