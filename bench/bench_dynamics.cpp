@@ -167,16 +167,33 @@ DetectionResult bench_detection(int n, int runs) {
     result.full_compare_ms = timer.millis();
   }
 
+  // Both hashed detectors log every changed agent's pre-move strategy into
+  // the table's change log (what run_dynamics does per committed move);
+  // `on_change` sees each change too.  The trajectory carries no move
+  // list, so the changed agents are found by diffing consecutive profiles.
+  const auto log_changes = [&](TranspositionTable& table, std::size_t i,
+                               auto&& on_change) {
+    const StrategyProfile& prev = trajectory[i - 1];
+    const StrategyProfile& cur = trajectory[i];
+    for (int u = 0; u < cur.node_count(); ++u)
+      if (!(prev.strategy(u) == cur.strategy(u))) {
+        table.log_move(u, prev.strategy(u));
+        on_change(u);
+      }
+  };
+
   // (b) per-step from-scratch rehash + confirmed lookup (the old
   // ProfileHistory): the hash costs O(n^2/64) words every step.
   std::size_t rehash_hits = 0;
   {
     const Stopwatch timer;
     TranspositionTable table;
-    for (const auto& profile : trajectory) {
-      const std::uint64_t hash = zobrist_profile_hash(profile);
-      if (table.find(hash, profile) != TranspositionTable::npos) ++rehash_hits;
-      else table.insert(hash, profile, 0);
+    for (std::size_t i = 0; i < trajectory.size(); ++i) {
+      if (i > 0) log_changes(table, i, [](int) {});
+      const std::uint64_t hash = zobrist_profile_hash(trajectory[i]);
+      if (table.find(hash, trajectory[i]) != TranspositionTable::npos)
+        ++rehash_hits;
+      else table.insert(hash, 0);
     }
     result.rehash_ms = timer.millis();
   }
@@ -190,18 +207,16 @@ DetectionResult bench_detection(int n, int runs) {
     std::uint64_t hash = zobrist_profile_hash(trajectory.front());
     for (std::size_t i = 0; i < trajectory.size(); ++i) {
       if (i > 0) {
-        // Incremental delta over the one agent whose strategy changed
-        // (what DeviationEngine::profile_hash maintains under mutations).
-        const StrategyProfile& prev = trajectory[i - 1];
-        const StrategyProfile& cur = trajectory[i];
-        for (int u = 0; u < cur.node_count(); ++u)
-          if (!(prev.strategy(u) == cur.strategy(u)))
-            hash ^= zobrist_strategy_hash(u, prev.strategy(u)) ^
-                    zobrist_strategy_hash(u, cur.strategy(u));
+        // Incremental delta over the agents whose strategy changed (what
+        // DeviationEngine::profile_hash maintains under mutations).
+        log_changes(table, i, [&](int u) {
+          hash ^= zobrist_strategy_hash(u, trajectory[i - 1].strategy(u)) ^
+                  zobrist_strategy_hash(u, trajectory[i].strategy(u));
+        });
       }
       if (table.find(hash, trajectory[i]) != TranspositionTable::npos)
         ++zobrist_hits;
-      else table.insert(hash, trajectory[i], 0);
+      else table.insert(hash, 0);
     }
     result.zobrist_ms = timer.millis();
   }

@@ -8,7 +8,7 @@
 //     where a full sweep would dominate the runtime; the euclidean 4096
 //     sweep is always full -- it is the acceptance workload),
 //   * the first host_distance_sum query (eager Floyd-Warshall vs lazy
-//     closure row vs O(1) geometric sums),
+//     closure row vs one O(n) geometric row sum per call),
 //   * DistanceMatrix cells allocated during the run (must be 0 for the
 //     geometric backends: they never materialize an O(n^2) matrix), and
 //   * peak RSS after the run (rusage, monotone across runs -- implicit

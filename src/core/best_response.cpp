@@ -124,9 +124,9 @@ BestResponseResult naive_exact_best_response(const Game& game,
   search.agent = u;
   search.incumbent = options.incumbent;
   search.first_improvement = options.first_improvement;
-  // Admissible pruning floor, served by the host backend's cached sums
-  // (eager-once closure on dense hosts, O(n)/O(n^2)-once geometric sums on
-  // implicit ones; see the host-backend query contract in ROADMAP.md).
+  // Admissible pruning floor (the closure row sum: stored closure on dense
+  // hosts, one O(n) row per call on implicit ones; see the host-backend
+  // query contract in metric/host_backend.hpp).
   search.dist_lower_bound = game.host_distance_sum(u);
   search.current = NodeSet(game.node_count());
   search.result.strategy = NodeSet(game.node_count());

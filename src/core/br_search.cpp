@@ -31,15 +31,6 @@ struct SumCostModel {
     return total;
   }
 
-  /// Global floor: the host-closure distance sum (served by the backend's
-  /// cached sums, summed in increasing v order per the host-backend query
-  /// contract -- identical to the naive search's dist_lower_bound).
-  static double cheap_floor(const Game& game, int u,
-                            const std::vector<double>& host_row) {
-    (void)host_row;
-    return game.host_distance_sum(u);
-  }
-
   /// Per-node floor for any superset reachable from the current DFS node:
   /// d(t) >= max(d_H(u,t), min(d_S(t), w_next)).  Any path either avoids
   /// the new edges (>= d_S(t)) or starts with one (all new edges are
@@ -59,14 +50,6 @@ struct MaxCostModel {
     double worst = 0.0;
     for (double d : dist) worst = std::max(worst, d);
     return worst;
-  }
-
-  /// Global floor: the host-closure eccentricity of the agent.
-  static double cheap_floor(const Game& game, int u,
-                            const std::vector<double>& host_row) {
-    (void)game;
-    (void)u;
-    return distance_term(host_row);
   }
 
   static double tight_floor(const std::vector<double>& host_row,
@@ -368,7 +351,10 @@ void run_search(const AgentEnvironment& env,
     host_row[static_cast<std::size_t>(v)] = game.host_distance(u, v);
   for (std::size_t i = 0; i < candidates.size(); ++i)
     weight_row[static_cast<std::size_t>(candidates[i])] = weights[i];
-  const double cheap_floor = Model::cheap_floor(game, u, host_row);
+  // Global floor: the distance term of the host row itself (O(n); SUM adds
+  // the row in increasing v order, bitwise equal to host_distance_sum(u) by
+  // the backend contract -- the naive search's dist_lower_bound).
+  const double cheap_floor = Model::distance_term(host_row);
 
   result.strategy.reset(n);
   result.cost = kInf;

@@ -29,9 +29,12 @@
 //      seeded at c, change-log rollback on backtrack): rows truncated from
 //      the base vector would bound differently.
 //    Evaluating a subset costs one O(n) aggregation pass either way.
-//  * Two-level admissible pruning: the O(1) global floor (host_distance_sum
-//    for SUM, host eccentricity for MAX) cuts first; surviving candidates
-//    face the tighter O(n) per-node floor
+//  * Two-level admissible pruning: the global floor cuts first, O(1) per
+//    candidate.  It is the distance term of u's host row, built once per
+//    search in O(n): the in-order row sum for SUM (bitwise equal to
+//    host_distance_sum(u) by the host-backend contract, with no all-pairs
+//    precompute on implicit backends), the host eccentricity for MAX.
+//    Surviving candidates face the tighter O(n) per-node floor
 //        sum/max over t of  max(d_H(u, t), min(d_S(t), w_next)),
 //    admissible because every path in a superset graph either avoids the
 //    new edges (length >= current d_S(t)) or starts with one (length >=

@@ -52,8 +52,7 @@ DynamicsResult run_dynamics(DeviationEngine& engine,
 
   DynamicsResult result;
   TranspositionTable visited;
-  if (options.detect_cycles)
-    visited.insert(engine.profile_hash(), engine.profile(), 0);
+  if (options.detect_cycles) visited.insert(engine.profile_hash(), 0);
   if (options.observer != nullptr) options.observer->on_run_start(engine);
 
   // Round-commit loop: the scheduler returns a batch of activations (one
@@ -83,6 +82,8 @@ DynamicsResult run_dynamics(DeviationEngine& engine,
       step.old_cost = activation.proposal.old_cost;
       step.new_cost = activation.proposal.new_cost;
       step.round = round_index;
+      if (options.detect_cycles)
+        visited.log_move(step.agent, step.old_strategy);
       steps.push_back(std::move(step));
     }
     if (round.size() == 1) {
@@ -110,8 +111,8 @@ DynamicsResult run_dynamics(DeviationEngine& engine,
       options.observer->on_round_end(round_index, steps.size());
 
     if (options.detect_cycles) {
-      // O(1) incremental fingerprint; a hit is confirmed by exact profile
-      // comparison inside the table, so collisions never fake a cycle.
+      // O(1) incremental fingerprint; a hit is confirmed exactly against
+      // the table's change log, so collisions never fake a cycle.
       const std::uint64_t hash = engine.profile_hash();
       const std::size_t prev = visited.find(hash, engine.profile());
       if (prev != TranspositionTable::npos) {
@@ -121,7 +122,7 @@ DynamicsResult run_dynamics(DeviationEngine& engine,
             static_cast<std::size_t>(result.moves) - result.cycle_start;
         break;
       }
-      visited.insert(hash, engine.profile(), result.moves);
+      visited.insert(hash, result.moves);
     }
     done = result.moves >= options.max_moves;
   }

@@ -9,9 +9,8 @@
 // through the StepObserver API, and revisited strategy profiles -- which
 // certify a best-response / improving-move cycle in the paper's sense --
 // are detected via the engine's incremental Zobrist hash against a
-// transposition table (core/transposition.hpp), with exact profile
-// comparison confirming every hash hit so a collision can never report a
-// false cycle.
+// transposition table (core/transposition.hpp), whose change log confirms
+// every hash hit exactly so a collision can never report a false cycle.
 //
 // The kernel commits in *rounds*: sequential schedulers yield one
 // activation per round (the historical per-move loop, unchanged move for

@@ -1,9 +1,9 @@
 // Incremental profile hashing and the shared transposition table.
 //
-// Dynamics cycle detection and exhaustive FIP analysis both answer the same
-// question many times per run: "have we seen this strategy profile before?"
-// Answering it by full-profile comparison costs O(n^2/64) per step; this
-// module makes the common case O(1):
+// Dynamics cycle detection answers the same question every round: "have we
+// seen this strategy profile before?"  Answering it by full-profile
+// comparison costs O(n^2/64) per round; this module makes the common case
+// O(1) and keeps every round's bookkeeping proportional to the moves made:
 //
 //  * Zobrist-style ownership hashing: every directed ownership fact
 //    "u buys (u,v)" has a fixed 64-bit key derived from (u, v) alone (two
@@ -12,15 +12,18 @@
 //    of the keys of its ownership facts.  XOR makes the hash incrementally
 //    maintainable: toggling one ownership fact updates the hash in O(1),
 //    which is what DeviationEngine::profile_hash() does under mutations.
-//  * TranspositionTable: an exact-confirmation hash index over visited
-//    profiles.  A hash hit is only reported as a revisit after a full
-//    profile comparison, so a hash collision can never certify a false
-//    cycle -- collisions are counted (collisions()) and resolved, never
-//    trusted.
+//  * TranspositionTable: an exact-confirmation hash index over the states
+//    of one trajectory.  It stores no profiles.  It keeps hash buckets of
+//    (payload, change-log position) and a change log with one entry per
+//    committed move: the mover and its pre-move strategy as a member list.
+//    A hash hit is only reported as a revisit after the log suffix since
+//    the recorded state proves the current profile equal to it, so a hash
+//    collision can never certify a false cycle -- collisions are counted
+//    (collisions()) and resolved, never trusted.
 //
-// The table stores one StrategyProfile copy per *distinct* visited state
-// (the confirmation material); callers that only need a running fingerprint
-// use the zobrist_* free functions directly.
+// Per recorded state the table costs O(1) plus O(|S_mover|) per logged
+// move; it never copies a whole profile (O(n^2/64) words on dense sets,
+// 12.5 MB per round at n = 10^4).
 #pragma once
 
 #include <cstdint>
@@ -44,52 +47,71 @@ std::uint64_t zobrist_strategy_hash(int u, const NodeSet& strategy);
 /// DeviationEngine is differentially tested against.
 std::uint64_t zobrist_profile_hash(const StrategyProfile& profile);
 
-/// Exact-confirmation transposition table over strategy profiles.
+/// Exact-confirmation transposition table over the states of one
+/// trajectory.
 ///
-/// Each recorded profile occupies one slot carrying a caller-defined
-/// uint64 payload (a move index for cycle detection, a DFS color for the
-/// exhaustive improvement-graph walk).  `find` reports a slot only after
-/// confirming profile equality, so the table is collision-proof; the number
-/// of confirmed collisions (distinct profiles sharing a hash) is exposed
-/// for diagnostics.
+/// The caller walks a trajectory: it logs every committed strategy change
+/// with `log_move` (in commit order, with the mover's pre-move strategy)
+/// and records states with `insert`; the recorded state is the profile
+/// after every move logged so far.  Each recorded state occupies one slot
+/// carrying a caller-defined uint64 payload (the move index for cycle
+/// detection).  `find` reports a slot only after confirming, from the log
+/// suffix since that slot, that the current profile equals the recorded
+/// state: for every agent logged in the suffix, its first logged
+/// (pre-move) strategy must equal its current strategy; agents absent from
+/// the suffix are unchanged by construction.  The table is therefore
+/// collision-proof; the number of rejected confirmations (distinct states
+/// sharing a hash) is exposed for diagnostics.
 class TranspositionTable {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  /// Slot of a previously inserted profile equal to `profile`, or npos.
-  /// `hash` must be zobrist_profile_hash(profile) (callers maintain it
-  /// incrementally; confirmed here, never trusted alone).
+  /// Appends one committed move to the change log: `agent`'s strategy
+  /// before the move.  Agents of one multi-move round are distinct, so each
+  /// round logs its movers' pre-round strategies.
+  void log_move(int agent, const NodeSet& before);
+
+  /// Slot of a recorded state equal to `profile`, which must be the current
+  /// state (the profile after every logged move), or npos.  `hash` must be
+  /// zobrist_profile_hash(profile) (callers maintain it incrementally;
+  /// confirmed here, never trusted alone).
   std::size_t find(std::uint64_t hash, const StrategyProfile& profile) const;
 
-  /// Records `profile` under `hash` with payload `value`; returns its slot.
-  /// Precondition: no equal profile is present (call find first).
-  std::size_t insert(std::uint64_t hash, StrategyProfile profile,
-                     std::uint64_t value);
+  /// Records the current state under `hash` with payload `value`; returns
+  /// its slot.  Precondition: no equal state is recorded (call find first).
+  std::size_t insert(std::uint64_t hash, std::uint64_t value);
 
-  std::uint64_t value(std::size_t slot) const { return entries_[slot].value; }
-  void set_value(std::size_t slot, std::uint64_t value) {
-    entries_[slot].value = value;
-  }
-  const StrategyProfile& profile(std::size_t slot) const {
-    return entries_[slot].profile;
-  }
+  std::uint64_t value(std::size_t slot) const { return slots_[slot].value; }
 
-  /// Number of distinct profiles recorded.
-  std::size_t size() const { return entries_.size(); }
+  /// Number of distinct states recorded.
+  std::size_t size() const { return slots_.size(); }
 
-  /// Confirmed hash collisions observed so far: comparisons where two
-  /// *distinct* profiles shared a bucket hash.
+  /// Rejected confirmations so far: comparisons where two *distinct*
+  /// states shared a bucket hash.
   std::uint64_t collisions() const { return collisions_; }
 
  private:
-  struct Entry {
-    StrategyProfile profile;
+  struct Slot {
     std::uint64_t value = 0;
+    std::size_t log_pos = 0;  ///< log size when the state was recorded
+  };
+  struct LogEntry {
+    int agent = 0;
+    std::size_t begin = 0;  ///< pre-move members: members_[begin, next)
   };
 
+  /// Whether the current `profile` equals the state recorded at log
+  /// position `log_pos`.
+  bool same_state(std::size_t log_pos, const StrategyProfile& profile) const;
+
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets_;
-  std::vector<Entry> entries_;
+  std::vector<Slot> slots_;
+  std::vector<LogEntry> log_;
+  std::vector<int> members_;
   mutable std::uint64_t collisions_ = 0;
+  // same_state scratch: seen_[a] == stamp_ marks agents already compared.
+  mutable std::vector<std::uint64_t> seen_;
+  mutable std::uint64_t stamp_ = 0;
 };
 
 }  // namespace gncg

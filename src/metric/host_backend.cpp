@@ -188,26 +188,12 @@ EuclideanHostBackend::EuclideanHostBackend(PointSet points, double p)
   GNCG_CHECK(p >= 1.0, "p-norms require p >= 1");
 }
 
-void EuclideanHostBackend::ensure_sums() const {
-  // O(n^2 d) once, O(n) memory.  Summation runs in increasing index order so
-  // the result is bit-identical to summing a materialized closure row.
-  std::call_once(sums_once_, [this] {
-    const int n = points_.size();
-    sums_.resize(static_cast<std::size_t>(n));
-    std::vector<double> row;
-    for (int u = 0; u < n; ++u) {
-      points_.distances_from(u, p_, row);
-      double total = 0.0;
-      for (double d : row) total += d;
-      sums_[static_cast<std::size_t>(u)] = total;
-    }
-  });
-}
-
 double EuclideanHostBackend::host_distance_sum(int u) const {
-  ensure_sums();
+  // One row per call, O(n d), summed in increasing v order (the contract).
   GNCG_DASSERT(u >= 0 && u < points_.size());
-  return sums_[static_cast<std::size_t>(u)];
+  double total = 0.0;
+  for (int v = 0; v < points_.size(); ++v) total += weight(u, v);
+  return total;
 }
 
 void EuclideanHostBackend::ensure_index() const {
@@ -335,25 +321,15 @@ TreeHostBackend::TreeHostBackend(const WeightedTree& tree)
   }
 }
 
-void TreeHostBackend::ensure_sums() const {
-  // Direct increasing-v accumulation (O(n^2) O(1)-LCA queries, once): the
-  // O(n) rerooting identity would give the same values up to association
-  // order, but the backend contract pins the summation order so the pruning
-  // floor stays consistent with per-pair host_distance queries.
-  std::call_once(sums_once_, [this] {
-    sums_.resize(static_cast<std::size_t>(n_));
-    for (int u = 0; u < n_; ++u) {
-      double total = 0.0;
-      for (int v = 0; v < n_; ++v) total += host_distance(u, v);
-      sums_[static_cast<std::size_t>(u)] = total;
-    }
-  });
-}
-
 double TreeHostBackend::host_distance_sum(int u) const {
-  ensure_sums();
+  // One row per call, O(n) LCA queries, summed in increasing v order: the
+  // O(n) rerooting identity would give the same values up to association
+  // order, but the contract pins the order so the sum stays bitwise equal
+  // to adding the host_distance row.
   GNCG_DASSERT(u >= 0 && u < n_);
-  return sums_[static_cast<std::size_t>(u)];
+  double total = 0.0;
+  for (int v = 0; v < n_; ++v) total += host_distance(u, v);
+  return total;
 }
 
 int TreeHostBackend::lca(int u, int v) const {

@@ -21,10 +21,14 @@
 //   * `host_distance(u, v)` is the shortest-path closure of `weight`; on
 //     metric backends (euclidean, tree) the two coincide.
 //   * `host_distance_sum(u)` equals the sum of host_distance(u, v) over v in
-//     increasing index order (the exact summation order matters: it keeps
-//     the branch-and-bound pruning bound bit-compatible with the dense
-//     path).
-//   * Lazily computed state (dense closure, lazy rows, euclidean sums) is
+//     increasing index order, bit for bit (the exact summation order
+//     matters: best-response search sums the host row it builds anyway as
+//     its global floor, and the naive search calls host_distance_sum; the
+//     two must agree).  Dense and lazy backends serve it from the closure
+//     they store; implicit backends (euclidean, tree) sum one row per call
+//     -- O(n d) resp. O(n) LCA queries -- and keep no all-pairs sum cache,
+//     so callers query each u at most once per computation.
+//   * Lazily computed state (dense closure, lazy rows, spatial index) is
 //     synchronized internally; callers never observe partially filled rows.
 //   * `candidate_targets(u, budget, out)` is the spatial candidate oracle:
 //     a deterministic, (weight, id)-sorted shortlist of purchase targets the
@@ -178,7 +182,8 @@ class LazyClosureHostBackend final : public HostBackend {
 
 /// Euclidean (Rd-GNCG) backend: n points in R^d under a p-norm.  Weights are
 /// computed on demand in O(d); p-norms are metrics, so host_distance ==
-/// weight and there is no closure to compute, ever.  Memory: O(n * d).
+/// weight and there is no closure to compute, ever.  host_distance_sum sums
+/// one row per call in O(n d).  Memory: O(n * d).
 class EuclideanHostBackend final : public HostBackend {
  public:
   EuclideanHostBackend(PointSet points, double p);
@@ -218,13 +223,10 @@ class EuclideanHostBackend final : public HostBackend {
   const SpatialIndex* spatial_index() const;
 
  private:
-  void ensure_sums() const;
   void ensure_index() const;
 
   PointSet points_;
   double p_;
-  mutable std::once_flag sums_once_;
-  mutable std::vector<double> sums_;
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<SpatialIndex> index_;
 };
@@ -232,12 +234,11 @@ class EuclideanHostBackend final : public HostBackend {
 /// Tree-metric (T-GNCG) backend: the host is the metric closure of an
 /// edge-weighted tree.  Distances are served as
 ///   d_T(u, v) = depth(u) + depth(v) - 2 * depth(lca(u, v))
-/// with O(1) LCA queries (Euler tour + sparse-table RMQ).  Per-node distance
-/// sums are accumulated once, on first query, by direct increasing-v
-/// summation of host_distance (O(n^2) LCA queries) -- NOT by the O(n)
-/// rerooting identity, which sums in a different association order and
-/// would break the backend contract's "sum in increasing index order"
-/// guarantee that branch-and-bound pruning relies on.  Memory: O(n log n).
+/// with O(1) LCA queries (Euler tour + sparse-table RMQ).  host_distance_sum
+/// sums one row per call by direct increasing-v summation of host_distance
+/// (O(n) LCA queries) -- NOT by the O(n) rerooting identity, which sums in
+/// a different association order and would break the backend contract's
+/// "sum in increasing index order" guarantee.  Memory: O(n log n).
 class TreeHostBackend final : public HostBackend {
  public:
   explicit TreeHostBackend(const WeightedTree& tree);
@@ -253,8 +254,6 @@ class TreeHostBackend final : public HostBackend {
   int lca(int u, int v) const;
 
  private:
-  void ensure_sums() const;
-
   int n_ = 0;
   double int_bound_ = 0.0;              ///< integer capability, set at build
   std::vector<double> depth_weighted_;  ///< weighted distance from the root
@@ -263,8 +262,6 @@ class TreeHostBackend final : public HostBackend {
   std::vector<int> first_visit_;        ///< first tour index of each node
   std::vector<std::vector<int>> sparse_;  ///< RMQ over tour positions
   std::vector<int> log2_;               ///< floor(log2) lookup
-  mutable std::once_flag sums_once_;
-  mutable std::vector<double> sums_;    ///< increasing-v distance sums
 };
 
 /// Factory helpers (shared so HostGraph copies stay cheap handles).

@@ -19,6 +19,7 @@
 #include "core/transposition.hpp"
 #include "constructions/cycle_instances.hpp"
 #include "metric/host_graph.hpp"
+#include "support/instrument.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -136,11 +137,14 @@ TEST(Transposition, HashedRevisitAgreesWithExactComparison) {
       trajectory.push_back(std::move(next));
     }
 
-    // Hashed detector over the same sequence.
+    // Hashed detector over the same sequence: log each step's pre-move
+    // strategy, then probe and record the state it leads to.
     TranspositionTable table;
     std::size_t hashed_first = TranspositionTable::npos;
     std::size_t hashed_prev = TranspositionTable::npos;
     for (std::size_t j = 0; j < trajectory.size(); ++j) {
+      if (j > 0)
+        table.log_move(run.steps[j - 1].agent, run.steps[j - 1].old_strategy);
       const std::uint64_t hash = zobrist_profile_hash(trajectory[j]);
       const std::size_t slot = table.find(hash, trajectory[j]);
       if (slot != TranspositionTable::npos) {
@@ -148,7 +152,7 @@ TEST(Transposition, HashedRevisitAgreesWithExactComparison) {
         hashed_prev = static_cast<std::size_t>(table.value(slot));
         break;
       }
-      table.insert(hash, trajectory[j], j);
+      table.insert(hash, j);
     }
 
     const auto [naive_prev, naive_first] = naive_first_revisit(trajectory);
@@ -168,6 +172,206 @@ TEST(Transposition, HashedRevisitAgreesWithExactComparison) {
       EXPECT_FALSE(detected.cycle_found) << "trial " << trial;
     }
   }
+}
+
+/// A strategy buying exactly {v} (nothing when v < 0).
+NodeSet single_buy(int n, int v) {
+  NodeSet strategy(n);
+  if (v >= 0) strategy.insert(v);
+  return strategy;
+}
+
+TEST(Transposition, ForcedCollisionsConfirmOnlyTheEqualState) {
+  // Three distinct states under one made-up hash: only the equal one may
+  // be reported, and every rejected comparison counts as a collision.
+  const int n = 5;
+  const std::uint64_t kForced = 0xfeedULL;
+  const instrument::ThreadFrame frame;
+  TranspositionTable table;
+  StrategyProfile profile(n);
+  profile.set_strategy(0, single_buy(n, 1));
+
+  // State A, then B (agent 2 buys 3), then C (agent 0 switches 1 -> 4).
+  EXPECT_EQ(table.find(kForced, profile), TranspositionTable::npos);
+  const std::size_t a = table.insert(kForced, 10);
+  table.log_move(2, profile.strategy(2));
+  profile.set_strategy(2, single_buy(n, 3));
+  EXPECT_EQ(table.find(kForced, profile), TranspositionTable::npos);
+  const std::size_t b = table.insert(kForced, 11);
+  table.log_move(0, profile.strategy(0));
+  profile.set_strategy(0, single_buy(n, 4));
+  EXPECT_EQ(table.find(kForced, profile), TranspositionTable::npos);
+  const std::size_t c = table.insert(kForced, 12);
+  EXPECT_EQ(table.collisions(), 0u + 1u + 2u);
+
+  // Agent 0 switches back: the profile equals B again (agent 0 appears
+  // twice in B's log suffix; only its first, pre-move entry is compared).
+  table.log_move(0, profile.strategy(0));
+  profile.set_strategy(0, single_buy(n, 1));
+  EXPECT_EQ(table.find(kForced, profile), b);
+  EXPECT_EQ(table.value(b), 11u);
+  EXPECT_EQ(table.collisions(), 3u + 1u);  // A rejected, B confirmed
+  // A different hash never compares at all.
+  EXPECT_EQ(table.find(kForced + 1, profile), TranspositionTable::npos);
+
+  // Two-move rounds (distinct agents 0 and 2): E is new, F equals B.
+  table.log_move(0, profile.strategy(0));
+  table.log_move(2, profile.strategy(2));
+  profile.set_strategy(0, single_buy(n, 4));
+  profile.set_strategy(2, single_buy(n, -1));
+  EXPECT_EQ(table.find(kForced, profile), TranspositionTable::npos);
+  EXPECT_EQ(table.collisions(), 4u + 3u);  // A, B and C rejected
+  table.insert(kForced, 13);
+  table.log_move(2, profile.strategy(2));
+  table.log_move(0, profile.strategy(0));
+  profile.set_strategy(2, single_buy(n, 3));
+  profile.set_strategy(0, single_buy(n, 1));
+  EXPECT_EQ(table.find(kForced, profile), b);
+  EXPECT_EQ(table.collisions(), 7u + 1u);  // A rejected, B confirmed
+  EXPECT_EQ(table.size(), 4u);
+  EXPECT_EQ(table.value(a), 10u);
+  EXPECT_EQ(table.value(c), 12u);
+
+  if (instrument::compiled_in()) {
+    const auto delta = frame.delta();
+    const auto at = [&](instrument::Counter counter) {
+      return delta[static_cast<std::size_t>(counter)];
+    };
+    EXPECT_EQ(at(instrument::Counter::kTtCollisions), table.collisions());
+    EXPECT_EQ(at(instrument::Counter::kTtProbes), 7u);
+    // Every comparison is a collision or one of the two confirmed hits.
+    EXPECT_EQ(at(instrument::Counter::kTtConfirms), table.collisions() + 2u);
+  }
+}
+
+TEST(Transposition, ForcedCollisionsAgreeWithNaiveComparison) {
+  // Random walks over a tiny state space (each agent buys nothing or one
+  // of two targets), with rounds of one or two distinct movers and hashes
+  // forced into three buckets: find() must return exactly the slot a
+  // naive full-profile comparison picks, and count every rejection.
+  Rng rng(4011);
+  const int n = 4;
+  for (int trial = 0; trial < 24; ++trial) {
+    const instrument::ThreadFrame frame;
+    TranspositionTable table;
+    std::vector<StrategyProfile> recorded;
+    std::vector<std::uint64_t> recorded_hash;
+    std::uint64_t rejections = 0;
+    std::uint64_t hits = 0;
+    StrategyProfile profile(n);
+    for (int round = 0; round < 40; ++round) {
+      const std::uint64_t hash = zobrist_profile_hash(profile) % 3;
+      std::size_t expected = TranspositionTable::npos;
+      for (std::size_t i = 0; i < recorded.size(); ++i) {
+        if (recorded_hash[i] != hash) continue;
+        if (recorded[i] == profile) {
+          expected = i;
+          break;
+        }
+        ++rejections;
+      }
+      const std::size_t slot = table.find(hash, profile);
+      ASSERT_EQ(slot, expected) << "trial " << trial << " round " << round;
+      if (slot == TranspositionTable::npos) {
+        EXPECT_EQ(table.insert(hash, static_cast<std::uint64_t>(round)),
+                  recorded.size());
+        recorded.push_back(profile);
+        recorded_hash.push_back(hash);
+      } else {
+        ++hits;
+      }
+
+      // Next round: one or two distinct movers, each to a new strategy.
+      const int first = static_cast<int>(rng.uniform_below(n));
+      std::vector<int> movers{first};
+      if (rng.bernoulli(0.5))
+        movers.push_back((first + 1 + static_cast<int>(rng.uniform_below(
+                                          n - 1))) % n);
+      for (int agent : movers) table.log_move(agent, profile.strategy(agent));
+      for (int agent : movers) {
+        NodeSet next = profile.strategy(agent);
+        while (next == profile.strategy(agent)) {
+          const int choice = static_cast<int>(rng.uniform_below(3));
+          next = single_buy(n, choice == 0 ? -1 : (agent + choice) % n);
+        }
+        profile.set_strategy(agent, std::move(next));
+      }
+    }
+    EXPECT_EQ(table.collisions(), rejections) << "trial " << trial;
+    EXPECT_GT(hits, 0u) << "trial " << trial;
+    if (instrument::compiled_in()) {
+      const auto delta = frame.delta();
+      EXPECT_EQ(delta[static_cast<std::size_t>(
+                    instrument::Counter::kTtCollisions)],
+                rejections);
+      EXPECT_EQ(delta[static_cast<std::size_t>(
+                    instrument::Counter::kTtConfirms)],
+                rejections + hits);
+    }
+  }
+}
+
+TEST(Transposition, ParallelMgmCycleAgreesWithRoundBoundaryComparison) {
+  // Multi-move rounds: the kernel's detection must stop where a naive
+  // full-profile comparison over round-boundary states finds the first
+  // revisit.  Best-single-move dynamics on the Conjecture 1 point set
+  // cycle under parallel_mgm from some random starts.
+  Rng rng(4019);
+  int cycles = 0;
+  int multi_move_cycles = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const Game game(
+        HostGraph::from_points(conjecture1_euclidean_points(), 2.0),
+        0.5 + 0.25 * (trial % 8));
+    DynamicsOptions options;
+    options.rule = MoveRule::kBestSingleMove;
+    options.scheduler = SchedulerKind::kParallelMgm;
+    options.mgm_shards = 2 + trial % 3;
+    options.max_moves = 300;
+    options.detect_cycles = false;  // record the raw trajectory
+    options.seed = rng();
+    const StrategyProfile start = random_profile(game, rng);
+    const auto run = run_dynamics(game, start, options);
+
+    // Round-boundary states and the move count at each boundary.
+    std::vector<StrategyProfile> states{start};
+    std::vector<std::uint64_t> moves_at{0};
+    for (std::size_t i = 0; i < run.steps.size(); ++i) {
+      if (i == 0 || run.steps[i].round != run.steps[i - 1].round) {
+        states.push_back(states.back());
+        moves_at.push_back(moves_at.back());
+      }
+      states.back().set_strategy(run.steps[i].agent,
+                                 run.steps[i].new_strategy);
+      ++moves_at.back();
+    }
+    const auto [naive_prev, naive_first] = naive_first_revisit(states);
+
+    DynamicsOptions detecting = options;
+    detecting.detect_cycles = true;
+    const auto detected = run_dynamics(game, start, detecting);
+    if (naive_first != TranspositionTable::npos) {
+      ++cycles;
+      for (std::size_t k = naive_prev; k < naive_first; ++k)
+        if (moves_at[k + 1] - moves_at[k] > 1) {
+          ++multi_move_cycles;
+          break;
+        }
+      EXPECT_TRUE(detected.cycle_found) << "trial " << trial;
+      EXPECT_EQ(detected.moves, moves_at[naive_first]) << "trial " << trial;
+      EXPECT_EQ(detected.cycle_start, moves_at[naive_prev])
+          << "trial " << trial;
+      EXPECT_EQ(detected.cycle_length,
+                moves_at[naive_first] - moves_at[naive_prev])
+          << "trial " << trial;
+    } else {
+      EXPECT_FALSE(detected.cycle_found) << "trial " << trial;
+      EXPECT_EQ(detected.moves, run.moves) << "trial " << trial;
+    }
+  }
+  // A cycle through a multi-move round, or this test exercises nothing.
+  EXPECT_GT(cycles, 0);
+  EXPECT_GT(multi_move_cycles, 0);
 }
 
 // --- policy registry ------------------------------------------------------

@@ -3,7 +3,10 @@
 // path, plus the large-n no-materialization guarantee.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "core/best_response.hpp"
 #include "core/deviation_engine.hpp"
@@ -36,6 +39,47 @@ TEST(HostBackend, FactoriesPickTheRightBackend) {
             HostBackendKind::kLazyClosure);
   EXPECT_EQ(backend_name(HostBackendKind::kEuclidean), "euclidean");
   EXPECT_EQ(backend_name(HostBackendKind::kLazyClosure), "lazy");
+}
+
+// --- host_distance_sum contract on every backend ---------------------------
+
+/// The contract best-response search relies on: host_distance_sum(u) is
+/// the sum of host_distance(u, v) over v in increasing order, bit for bit
+/// (br_search sums the host row it builds as its global floor, the naive
+/// search calls host_distance_sum).
+void expect_sums_are_in_order_row_sums(const HostGraph& host,
+                                       const std::string& label) {
+  for (int u = 0; u < host.node_count(); ++u) {
+    double row_sum = 0.0;
+    for (int v = 0; v < host.node_count(); ++v)
+      row_sum += host.host_distance(u, v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(host.host_distance_sum(u)),
+              std::bit_cast<std::uint64_t>(row_sum))
+        << label << " agent " << u;
+  }
+}
+
+TEST(HostBackend, HostDistanceSumIsTheInOrderRowSumOnEveryBackend) {
+  Rng rng(127);
+  for (const int n : {5, 63, 257}) {
+    const std::string at_n = " n=" + std::to_string(n);
+    // Real, non-metric weights so the dense / lazy closures differ from w.
+    DistanceMatrix weights(n, 0.0);
+    for (int u = 0; u < n; ++u)
+      for (int v = u + 1; v < n; ++v)
+        weights.set_symmetric(u, v, rng.uniform_real(1.0, 10.0));
+    expect_sums_are_in_order_row_sums(HostGraph::from_weights(weights),
+                                      "dense" + at_n);
+    expect_sums_are_in_order_row_sums(HostGraph::from_weights_lazy(weights),
+                                      "lazy" + at_n);
+    const auto points = uniform_points(n, 2, 10.0, rng);
+    for (const double p : {1.0, 2.0, 3.0})
+      expect_sums_are_in_order_row_sums(
+          HostGraph::from_points(points, p),
+          "euclidean p=" + std::to_string(p) + at_n);
+    expect_sums_are_in_order_row_sums(HostGraph::from_tree(random_tree(n, rng)),
+                                      "tree" + at_n);
+  }
 }
 
 // --- euclidean backend vs materialized matrices ---------------------------
