@@ -5,8 +5,9 @@
 // same start profile under three schedulers:
 //
 //  * round_robin  -- the sequential activation-order baseline,
-//  * max_gain     -- the sequential gain scheduler (one warm + full
-//                    proposal pass per single committed move),
+//  * max_gain     -- the sequential gain scheduler, i.e. parallel_mgm with
+//                    one shard (one warm + full proposal pass per single
+//                    committed move),
 //  * parallel_mgm -- the round-based sharded kernel (one warm + full
 //                    proposal pass per *batch* of non-conflicting moves).
 //

@@ -10,10 +10,12 @@
 // argument, a demo instance is generated and its serialized form printed,
 // so the tool is self-documenting:
 //   game_runner --demo > host.txt && game_runner host.txt 2.0 --dot eq.dot
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
@@ -34,40 +36,52 @@ int run_demo() {
   return 0;
 }
 
+int usage() {
+  std::cerr << "usage: game_runner <host-file> <alpha> [--rule br|single|"
+               "umfl] [--seed S] [--out profile.txt] [--dot file.dot]\n"
+               "       game_runner --demo   (prints a sample host file)\n";
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--demo") return run_demo();
-  if (argc < 3) {
-    std::cerr << "usage: game_runner <host-file> <alpha> [--rule br|single|"
-                 "umfl] [--seed S] [--out profile.txt] [--dot file.dot]\n"
-                 "       game_runner --demo   (prints a sample host file)\n";
-    return 1;
-  }
+  if (argc < 3) return usage();
   const std::string host_path = argv[1];
   const double alpha = std::atof(argv[2]);
   MoveRule rule = MoveRule::kBestResponse;
   std::uint64_t seed = 1;
   std::string out_path, dot_path;
-  for (int i = 3; i + 1 < argc; i += 2) {
+  for (int i = 3; i < argc; ++i) {
     const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
+    if (i + 1 >= argc) {
+      std::cerr << "flag " << flag << " is missing its value\n";
+      return usage();
+    }
+    const std::string value = argv[++i];
     if (flag == "--rule") {
       if (value == "single") rule = MoveRule::kBestSingleMove;
       else if (value == "umfl") rule = MoveRule::kUmflResponse;
       else if (value != "br") {
         std::cerr << "unknown rule: " << value << "\n";
-        return 1;
+        return usage();
       }
     } else if (flag == "--seed") {
-      seed = std::stoull(value);
+      const char* end = value.data() + value.size();
+      const auto parsed = std::from_chars(value.data(), end, seed);
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        std::cerr << "--seed needs an unsigned integer, got '" << value
+                  << "'\n";
+        return usage();
+      }
     } else if (flag == "--out") {
       out_path = value;
     } else if (flag == "--dot") {
       dot_path = value;
     } else {
       std::cerr << "unknown flag: " << flag << "\n";
-      return 1;
+      return usage();
     }
   }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/deviation_engine.hpp"
@@ -90,25 +91,21 @@ struct DynamicsOptions {
   MoveRule rule = MoveRule::kBestResponse;
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
 
-  /// When non-empty, resolved through DynamicsPolicyRegistry and overriding
-  /// the enum -- the hook for registered non-builtin policies.
-  std::string rule_name;
-  std::string scheduler_name;
-
   std::uint64_t max_moves = 10000;
   bool detect_cycles = true;
   std::uint64_t seed = 1;
 
-  /// Policy knobs (see PolicyConfig).
-  std::uint64_t fairness_bound = 0;
-  double softmax_tau = 0.25;
+  /// Approx-ladder move rule: candidate-shortlist size handed to the
+  /// spatial oracle.  <= 0 picks the ladder's default.
   int approx_budget = 0;
   /// Approx-ladder bounded-frontier repair cap (ApproxBrOptions::repair_cap);
   /// 0 = exact repairs.  Applied moves stay strict better-responses either
   /// way (the ladder re-costs truncated winners exactly).
   std::size_t approx_repair_cap = 0;
-  /// Parallel-MGM scheduler: agent shards per round (PolicyConfig); <= 0
-  /// picks the default, 1 degenerates to the sequential max_gain step.
+  /// Parallel-MGM scheduler: agent shards per round (each shard nominates
+  /// its max-gain improving agent; non-conflicting nominees commit
+  /// together).  <= 0 picks the default max(1, n / 16).  kMaxGain ignores
+  /// it: max_gain is parallel_mgm with exactly one shard.
   int mgm_shards = 0;
 
   /// Record the full move trajectory into DynamicsResult::steps.  Disable
@@ -121,6 +118,12 @@ struct DynamicsOptions {
   /// outlive the run).
   StepObserver* observer = nullptr;
 };
+
+/// Fresh per-run policies for `options.rule` / `options.scheduler` (one
+/// switch each over the enum), reading the policy knobs above.
+std::unique_ptr<MoveRulePolicy> make_move_rule(const DynamicsOptions& options);
+std::unique_ptr<SchedulerPolicy> make_scheduler(const DynamicsOptions& options,
+                                                int node_count);
 
 struct DynamicsResult {
   bool converged = false;     ///< the scheduler found no improving agent

@@ -11,24 +11,21 @@
 //    agents out over the worker pool.
 //  * A SchedulerPolicy decides which agent moves next: round-robin and
 //    random-order probe agents in an activation order (one full silent
-//    round certifies convergence); max-gain, softmax-gain and
-//    fairness-bounded batch-propose every agent in parallel and select by
-//    gain (deterministically -- any randomness comes from the run's Rng,
-//    never from thread scheduling).
+//    round certifies convergence); softmax-gain, fairness-bounded and
+//    parallel-MGM batch-propose every agent in parallel and select by gain
+//    (deterministically -- any randomness comes from the run's Rng, never
+//    from thread scheduling).  Max-gain is parallel-MGM with one shard.
 //
-// Policies are stateful per run (cursors, fairness counters) and are
-// created fresh by factories.  The DynamicsPolicyRegistry maps stable
-// names ("round_robin", "softmax_gain", ...) to factories so sweep
-// scenarios, CLIs and tests can select policies by string; the MoveRule /
-// SchedulerKind enums remain the convenient spelling for the builtins and
-// resolve through the same registry.
+// Policies are stateful per run (cursors, fairness counters) and are built
+// fresh per run by make_move_rule / make_scheduler (core/dynamics.hpp):
+// one switch over the MoveRule / SchedulerKind enums, reading the policy
+// knobs from DynamicsOptions.  The enums are the only way to select a
+// policy; scheduler_name / move_rule_name give the stable names journals
+// tag rows with.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -51,7 +48,8 @@ enum class SchedulerKind {
   kRoundRobin,       ///< fixed order 0..n-1, repeated
   kRandomOrder,      ///< fresh uniform permutation every round
   kMaxGain,          ///< activate the agent with the largest cost improvement
-  kFairnessBounded,  ///< max-gain, but no improving agent waits > bound steps
+                     ///< (parallel_mgm with exactly one shard)
+  kFairnessBounded,  ///< max-gain, but no improving agent waits > 2n steps
   kSoftmaxGain,      ///< sample an improving agent ~ softmax of its gain
   kParallelMgm,      ///< sharded MGM rounds: non-conflicting winners commit
 };
@@ -75,34 +73,11 @@ struct Activation {
   Proposal proposal;
 };
 
-/// Shared knobs a policy factory may read.
-struct PolicyConfig {
-  int node_count = 0;
-  /// Fairness-bounded scheduler: the longest an agent with an improving
-  /// move may be passed over, in scheduler steps.  0 = 2 * node_count.
-  std::uint64_t fairness_bound = 0;
-  /// Softmax-gain scheduler: selection temperature relative to the largest
-  /// current gain (higher = closer to uniform over improving agents).
-  double softmax_tau = 0.25;
-  /// Approx-ladder move rule: candidate-shortlist size handed to the
-  /// spatial oracle.  <= 0 picks the ladder's default.
-  int approx_budget = 0;
-  /// Approx-ladder bounded-frontier repair cap; 0 = exact repairs.
-  std::size_t approx_repair_cap = 0;
-  /// Parallel-MGM scheduler: number of agent shards per round (each shard
-  /// nominates its max-gain improving agent; non-conflicting nominees
-  /// commit together).  <= 0 picks the default max(1, node_count / 16);
-  /// 1 degenerates to the sequential max_gain step.
-  int mgm_shards = 0;
-};
-
 /// Maps an activated agent to its proposal.  Stateless; const-callable from
 /// multiple threads against warm engine state.
 class MoveRulePolicy {
  public:
   virtual ~MoveRulePolicy() = default;
-
-  virtual std::string_view name() const = 0;
 
   /// Proposal for agent u against warm engine state (const, thread-safe).
   virtual Proposal propose_warm(const DeviationEngine& engine,
@@ -130,8 +105,6 @@ class SchedulerPolicy {
  public:
   virtual ~SchedulerPolicy() = default;
 
-  virtual std::string_view name() const = 0;
-
   /// The next improving activation, or nullopt when no agent can improve
   /// (convergence).  All randomness must come from `rng`.  Round-based
   /// schedulers that only implement next_round contract-fail here.
@@ -152,46 +125,8 @@ class SchedulerPolicy {
   virtual std::uint64_t rounds() const = 0;
 };
 
-using MoveRuleFactory =
-    std::function<std::unique_ptr<MoveRulePolicy>(const PolicyConfig&)>;
-using SchedulerFactory =
-    std::function<std::unique_ptr<SchedulerPolicy>(const PolicyConfig&)>;
-
-/// Name -> factory registry for schedulers and move rules.  `instance()`
-/// registers the builtins on first use (explicitly, not via static
-/// initializers -- same linker rationale as ScenarioRegistry).
-class DynamicsPolicyRegistry {
- public:
-  static DynamicsPolicyRegistry& instance();
-
-  /// Registers a factory; contract-fails on duplicate names.
-  void add_scheduler(std::string name, SchedulerFactory factory);
-  void add_rule(std::string name, MoveRuleFactory factory);
-
-  /// Builds a fresh policy; contract-fails on unknown names (with the
-  /// known-name list in the message).
-  std::unique_ptr<SchedulerPolicy> make_scheduler(
-      std::string_view name, const PolicyConfig& config) const;
-  std::unique_ptr<MoveRulePolicy> make_rule(std::string_view name,
-                                            const PolicyConfig& config) const;
-
-  /// All registered names, sorted.
-  std::vector<std::string> scheduler_names() const;
-  std::vector<std::string> rule_names() const;
-
- private:
-  std::vector<std::pair<std::string, SchedulerFactory>> schedulers_;
-  std::vector<std::pair<std::string, MoveRuleFactory>> rules_;
-};
-
-/// Canonical registry names of the builtin enums.
+/// Stable policy names (journal tags, bench tables).
 std::string_view scheduler_name(SchedulerKind kind);
 std::string_view move_rule_name(MoveRule rule);
-
-/// Builds a builtin policy (enum convenience over the registry).
-std::unique_ptr<SchedulerPolicy> make_scheduler(SchedulerKind kind,
-                                                const PolicyConfig& config);
-std::unique_ptr<MoveRulePolicy> make_move_rule(MoveRule rule,
-                                               const PolicyConfig& config);
 
 }  // namespace gncg

@@ -57,7 +57,6 @@ RestartReport run_restarts(const Game& game, const RestartOptions& options) {
         if (!options.scheduler_cycle.empty()) {
           dynamics.scheduler =
               options.scheduler_cycle[i % options.scheduler_cycle.size()];
-          dynamics.scheduler_name.clear();
         }
         // The run's internal randomness continues the restart stream.
         dynamics.seed = rng();
@@ -70,19 +69,14 @@ RestartReport run_restarts(const Game& game, const RestartOptions& options) {
 
         RestartRun run;
         run.stream = stream;
-        run.scheduler = dynamics.scheduler_name.empty()
-                            ? std::string(scheduler_name(dynamics.scheduler))
-                            : dynamics.scheduler_name;
+        run.scheduler = std::string(scheduler_name(dynamics.scheduler));
         run.result = run_dynamics(*worker.engine, dynamics);
         if (options.verify_cycles) {
           if (run.result.cycle_found) {
-            const bool require_br =
-                dynamics.rule_name.empty()
-                    ? dynamics.rule == MoveRule::kBestResponse
-                    : dynamics.rule_name == "best_response";
             run.cycle_verified = verify_improvement_cycle(
                 game, run.result.final_profile, run.result.cycle_steps(),
-                require_br);
+                /*require_best_response=*/dynamics.rule ==
+                    MoveRule::kBestResponse);
             if (run.cycle_verified && options.stop_after_verified_cycle) {
               std::size_t expected = first_verified.load();
               while (i < expected &&

@@ -75,8 +75,8 @@ struct RestartOptions {
 /// One restart's outcome.
 struct RestartRun {
   std::uint64_t stream = 0;  ///< the restart's derived stream seed
-  /// Effective scheduler policy name (registry name; resolves the
-  /// scheduler_cycle and any dynamics.scheduler_name override).
+  /// The scheduler this restart ran, as its scheduler_name() journal tag
+  /// (the scheduler_cycle entry when set, else dynamics.scheduler).
   std::string scheduler;
   DynamicsResult result;
   bool cycle_verified = false;  ///< set only under verify_cycles

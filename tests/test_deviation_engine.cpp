@@ -899,9 +899,9 @@ TEST(DeviationEngineScan, WarmProposalsByteIdenticalAcrossThreadCounts) {
       DeviationEngine engine(game, settled_profile(game, start, short_by));
       engine.warm_distances();
       const DeviationEngine& warm = engine;
-      PolicyConfig config;
-      config.node_count = n;
-      const auto rule = make_move_rule(MoveRule::kBestSingleMove, config);
+      DynamicsOptions options;
+      options.rule = MoveRule::kBestSingleMove;
+      const auto rule = make_move_rule(options);
       // The parallel-MGM proposal step: one writer per slot.
       const auto propose_all = [&](std::size_t threads) {
         set_default_thread_count(threads);

@@ -1,12 +1,15 @@
 // Tests for the dynamics kernel's state and orchestration layers:
 // incremental Zobrist hashing vs the from-scratch reference, hashed cycle
 // detection vs exact full-profile comparison (differential fuzz), the
-// policy registry, the observer API, and the restart driver's thread-count
+// schedulers (max_gain against a serial argmax replay oracle), the observer
+// API, and the restart driver's thread-count
 // determinism contract (1-vs-N byte-identical results, same probe style as
 // tests/test_sweep.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -374,48 +377,6 @@ TEST(Transposition, ParallelMgmCycleAgreesWithRoundBoundaryComparison) {
   EXPECT_GT(multi_move_cycles, 0);
 }
 
-// --- policy registry ------------------------------------------------------
-
-TEST(PolicyRegistry, BuiltinsAreRegistered) {
-  const auto& registry = DynamicsPolicyRegistry::instance();
-  const auto schedulers = registry.scheduler_names();
-  for (const char* expected : {"fairness_bounded", "max_gain", "parallel_mgm",
-                               "random_order", "round_robin", "softmax_gain"})
-    EXPECT_NE(std::find(schedulers.begin(), schedulers.end(), expected),
-              schedulers.end())
-        << expected;
-  const auto rules = registry.rule_names();
-  for (const char* expected : {"best_addition", "best_response",
-                               "best_single_move", "umfl_response"})
-    EXPECT_NE(std::find(rules.begin(), rules.end(), expected), rules.end())
-        << expected;
-}
-
-TEST(PolicyRegistry, UnknownNamesContractFail) {
-  const PolicyConfig config{/*node_count=*/4};
-  EXPECT_THROW(DynamicsPolicyRegistry::instance().make_scheduler("nope",
-                                                                 config),
-               ContractViolation);
-  EXPECT_THROW(DynamicsPolicyRegistry::instance().make_rule("nope", config),
-               ContractViolation);
-}
-
-TEST(PolicyRegistry, NameOverridesResolveThroughRegistry) {
-  Rng rng(4013);
-  const Game game(HostGraph::unit(5), 3.0);
-  DynamicsOptions options;
-  options.rule_name = "best_single_move";
-  options.scheduler_name = "max_gain";
-  options.max_moves = 2000;
-  const auto run = run_dynamics(game, random_profile(game, rng), options);
-  EXPECT_TRUE(run.converged);
-  EXPECT_TRUE(is_greedy_equilibrium(game, run.final_profile));
-  DynamicsOptions bad = options;
-  bad.scheduler_name = "no_such_scheduler";
-  EXPECT_THROW(run_dynamics(game, random_profile(game, rng), bad),
-               ContractViolation);
-}
-
 // --- observer API ---------------------------------------------------------
 
 class RecordingObserver final : public StepObserver {
@@ -586,41 +547,53 @@ TEST(ParallelMgm, CommittedRoundsHaveDisjointConflictSets) {
 }
 
 TEST(ParallelMgm, OneShardDegeneratesToSequentialMaxGain) {
+  // kMaxGain is parallel_mgm pinned to one shard: mgm_shards must not leak
+  // into it.  The oracle replays the trace and re-derives every step from a
+  // serial propose() of every agent against the step's pre-move profile.
   Rng host_rng(4057);
   const Game game(random_one_two_host(12, 0.5, host_rng), 1.5);
-  Rng start_a(4061), start_b(4061);
-  const StrategyProfile start = random_profile(game, start_a);
-  const StrategyProfile start_copy = random_profile(game, start_b);
+  Rng start_rng(4061);
+  const StrategyProfile start = random_profile(game, start_rng);
 
-  DynamicsOptions mgm;
-  mgm.rule = MoveRule::kBestSingleMove;
-  mgm.scheduler = SchedulerKind::kParallelMgm;
-  mgm.mgm_shards = 1;
-  mgm.max_moves = 800;
-  mgm.seed = 17;
-  const auto mgm_run = run_dynamics(game, start, mgm);
+  DynamicsOptions options;
+  options.rule = MoveRule::kBestSingleMove;
+  options.scheduler = SchedulerKind::kMaxGain;
+  options.mgm_shards = 8;
+  options.max_moves = 800;
+  options.seed = 17;
+  const auto run = run_dynamics(game, start, options);
+  EXPECT_EQ(run.max_round_commits, 1u);
+  EXPECT_EQ(run.rounds, run.moves);
+  ASSERT_GT(run.steps.size(), 1u);
 
-  DynamicsOptions max_gain = mgm;
-  max_gain.scheduler = SchedulerKind::kMaxGain;
-  max_gain.mgm_shards = 0;
-  const auto ref_run = run_dynamics(game, start_copy, max_gain);
-
-  // One shard nominates the global max-gain agent with the gain-scheduler
-  // tie-break: the runs must be identical move for move.
-  EXPECT_EQ(mgm_run.converged, ref_run.converged);
-  EXPECT_EQ(mgm_run.cycle_found, ref_run.cycle_found);
-  EXPECT_EQ(mgm_run.moves, ref_run.moves);
-  EXPECT_EQ(mgm_run.rounds, ref_run.rounds);
-  EXPECT_EQ(mgm_run.max_round_commits, 1u);
-  ASSERT_EQ(mgm_run.steps.size(), ref_run.steps.size());
-  for (std::size_t i = 0; i < mgm_run.steps.size(); ++i) {
-    EXPECT_EQ(mgm_run.steps[i].agent, ref_run.steps[i].agent) << i;
-    EXPECT_TRUE(mgm_run.steps[i].new_strategy ==
-                ref_run.steps[i].new_strategy)
-        << i;
-    EXPECT_EQ(mgm_run.steps[i].new_cost, ref_run.steps[i].new_cost) << i;
+  const auto rule = make_move_rule(options);
+  DeviationEngine replay(game, start);
+  // The serial max-gain choice: largest gain, ties to the smaller id.
+  const auto argmax = [&](Proposal& best) {
+    int chosen = -1;
+    for (int u = 0; u < game.node_count(); ++u) {
+      Proposal p = propose(replay, *rule, u);
+      if (p.improving && (chosen < 0 || p.gain() > best.gain())) {
+        chosen = u;
+        best = std::move(p);
+      }
+    }
+    return chosen;
+  };
+  for (std::size_t i = 0; i < run.steps.size(); ++i) {
+    const DynamicsStep& step = run.steps[i];
+    Proposal best;
+    ASSERT_EQ(step.agent, argmax(best)) << "step " << i;
+    EXPECT_TRUE(step.new_strategy == best.strategy) << "step " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(step.new_cost),
+              std::bit_cast<std::uint64_t>(best.new_cost))
+        << "step " << i;
+    replay.set_strategy(step.agent, step.new_strategy);
   }
-  EXPECT_TRUE(mgm_run.final_profile == ref_run.final_profile);
+  EXPECT_TRUE(replay.profile() == run.final_profile);
+  ASSERT_TRUE(run.converged);
+  Proposal none;
+  EXPECT_EQ(argmax(none), -1);  // no agent improves at the reached profile
 }
 
 /// Observer checking the round-callback contract: round indices increase by
