@@ -41,7 +41,7 @@
 // yields identical files.  A run killed mid-sweep resumes with --resume:
 // completed records are never re-run and a truncated trailing line is
 // discarded.  See README "Running sweeps".
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -110,6 +110,32 @@ struct CliOptions {
   std::string dump_path;
 };
 
+/// Parses `text` as one whole number of type T: no spaces, '+' or trailing
+/// characters, and '-' only for signed T.  On failure prints "<flag> needs
+/// <kind>, got '<text>'" and returns false.
+template <typename T>
+bool parse_number(const std::string& flag, const std::string& text,
+                  const char* kind, T& out) {
+  const char* end = text.data() + text.size();
+  const auto parsed = std::from_chars(text.data(), end, out);
+  if (parsed.ec == std::errc() && parsed.ptr == end) return true;
+  std::cerr << flag << " needs " << kind << ", got '" << text << "'\n";
+  return false;
+}
+
+/// Parses a comma-separated list of numbers into `out` (replacing it).
+template <typename T>
+bool parse_number_list(const std::string& flag, const std::string& csv,
+                       const char* kind, std::vector<T>& out) {
+  out.clear();
+  for (const std::string& item : split_list(csv)) {
+    T value{};
+    if (!parse_number(flag, item, kind, value)) return false;
+    out.push_back(value);
+  }
+  return true;
+}
+
 bool parse_extras(const std::string& csv,
                   std::vector<std::pair<std::string, double>>& extras) {
   for (const std::string& item : split_list(csv)) {
@@ -118,8 +144,11 @@ bool parse_extras(const std::string& csv,
       std::cerr << "--set wants key=value, got '" << item << "'\n";
       return false;
     }
-    extras.emplace_back(item.substr(0, eq),
-                        std::atof(item.c_str() + eq + 1));
+    const std::string key = item.substr(0, eq);
+    double value = 0.0;
+    if (!parse_number("--set " + key, item.substr(eq + 1), "a number", value))
+      return false;
+    extras.emplace_back(key, value);
   }
   return true;
 }
@@ -184,30 +213,27 @@ int main(int argc, char** argv) {
       return usage(1);
     }
     const std::string value = argv[++i];
+    bool parsed = true;
     if (flag == "--scenario") options.plan.scenarios = split_list(value);
     else if (flag == "--host") options.plan.hosts = split_list(value);
-    else if (flag == "--n") {
-      options.plan.ns.clear();
-      for (const auto& item : split_list(value))
-        options.plan.ns.push_back(std::atoi(item.c_str()));
-    } else if (flag == "--alpha") {
-      options.plan.alphas.clear();
-      for (const auto& item : split_list(value))
-        options.plan.alphas.push_back(std::atof(item.c_str()));
-    } else if (flag == "--p") {
-      options.plan.norm_ps.clear();
-      for (const auto& item : split_list(value))
-        options.plan.norm_ps.push_back(std::atof(item.c_str()));
-    } else if (flag == "--seeds") {
-      options.plan.seeds = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (flag == "--seed-base") {
-      options.plan.seed_base = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (flag == "--set") {
-      if (!parse_extras(value, options.plan.extras)) return usage(1);
-    } else if (flag == "--threads") {
-      options.runner.threads =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
-    } else if (flag == "--journal") {
+    else if (flag == "--n")
+      parsed = parse_number_list(flag, value, "an integer", options.plan.ns);
+    else if (flag == "--alpha")
+      parsed = parse_number_list(flag, value, "a number", options.plan.alphas);
+    else if (flag == "--p")
+      parsed = parse_number_list(flag, value, "a number", options.plan.norm_ps);
+    else if (flag == "--seeds")
+      parsed = parse_number(flag, value, "an unsigned integer",
+                            options.plan.seeds);
+    else if (flag == "--seed-base")
+      parsed = parse_number(flag, value, "an unsigned integer",
+                            options.plan.seed_base);
+    else if (flag == "--set")
+      parsed = parse_extras(value, options.plan.extras);
+    else if (flag == "--threads")
+      parsed = parse_number(flag, value, "an unsigned integer",
+                            options.runner.threads);
+    else if (flag == "--journal") {
       options.runner.journal_path = value;
     } else if (flag == "--metrics") {
       options.runner.metrics_path = value;
@@ -220,7 +246,8 @@ int main(int argc, char** argv) {
     } else if (flag == "--csv") {
       options.csv_path = value;
     } else if (flag == "--dump-host") {
-      options.dump_point = std::atoll(value.c_str());
+      if (!parse_number(flag, value, "an integer", options.dump_point))
+        return usage(1);
       if (i + 1 >= argc) {
         std::cerr << "--dump-host wants <point-index> <file>\n";
         return usage(1);
@@ -230,6 +257,7 @@ int main(int argc, char** argv) {
       std::cerr << "unknown flag " << flag << "\n";
       return usage(1);
     }
+    if (!parsed) return usage(1);
   }
 
   if (options.plan.scenarios.empty()) {

@@ -295,10 +295,7 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   result.exact = !improves(result.lower_bound, result.cost);
   if (result.exact) result.beta = 1.0;
 
-  const bool tier1_suffices =
-      result.exact ||
-      (options.beta_target > 0.0 && result.beta <= options.beta_target);
-  if (!tier1_suffices) {
+  if (!result.exact) {
     // --- tier 2: exact search restricted to the shortlist ----------------
     //
     // Shares the ladder's base vector (no second base Dijkstra) and, under
@@ -360,32 +357,9 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
     GNCG_IF_INSTRUMENT(if (result.exact) GNCG_COUNT(kLadderEscapeExact);)
   }
 
-  // --- tier 3: unrestricted exact search, on demand ---------------------
-  const bool want_exact =
-      options.allow_exact && !result.exact &&
-      (options.beta_target <= 0.0 || result.beta > options.beta_target);
-  if (want_exact) {
-    BestResponseOptions full;
-    full.incumbent = result.cost;
-    full.base_dist = &base_dist;
-    const BestResponseResult br = br_search_sum(env, full);
-    result.evaluations += br.evaluations;
-    if (br.improved) {
-      result.cost = br.cost;
-      result.strategy = br.strategy;
-    }
-    result.tier = 3;
-    result.exact = true;
-    result.lower_bound = result.cost;
-    result.beta = 1.0;
-  }
-
   result.improved = improves(result.cost, options.incumbent);
-  GNCG_IF_INSTRUMENT(switch (result.tier) {
-    case 1: GNCG_COUNT(kLadderTier1Final); break;
-    case 2: GNCG_COUNT(kLadderTier2Final); break;
-    default: GNCG_COUNT(kLadderTier3Final); break;
-  })
+  GNCG_IF_INSTRUMENT(if (result.tier == 1) GNCG_COUNT(kLadderTier1Final);
+                     else GNCG_COUNT(kLadderTier2Final);)
   return result;
 }
 

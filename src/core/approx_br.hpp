@@ -1,4 +1,4 @@
-// Approximate best response: the three-tier ladder for large geometric
+// Approximate best response: the two-tier ladder for large geometric
 // games.
 //
 // Exact best response is NP-hard (Corollary 1), and even the pruned
@@ -7,7 +7,7 @@
 // a far-away node is reached more cheaply through a near neighbor than by a
 // direct edge.  The ladder exploits this through the spatial candidate
 // oracle (HostBackend::candidate_targets -- grid-accelerated on euclidean
-// backends) and climbs three tiers, each with a certified quality bound:
+// backends) and climbs two tiers, each with a certified quality bound:
 //
 //  * Tier 1 -- greedy over the shortlist.  Starting from the empty
 //    strategy, repeatedly add the candidate edge with the largest cost
@@ -16,9 +16,8 @@
 //    O(budget^2) bounded-Dijkstra repairs, no subset enumeration.
 //  * Tier 2 -- exact search restricted to the shortlist.  br_search with
 //    BestResponseOptions::restrict_targets: the true minimum c_C over
-//    strategies inside the candidate set C.
-//  * Tier 3 (on demand) -- the full unrestricted exact search, seeded with
-//    c_C as the incumbent.
+//    strategies inside the candidate set C.  Tier 2 runs only when tier 1
+//    could not certify its result exact.
 //
 // Certification.  Every tier reports an admissible lower bound LB on the
 // *unrestricted* best-response cost and beta = cost / LB.  The bound is the
@@ -55,14 +54,6 @@ struct ApproxBrOptions {
   int budget = 0;
   /// The agent's current cost; `improved` reports a strict win over it.
   double incumbent = kInf;
-  /// Permit the tier-3 unrestricted exact search when tier 2 fails to
-  /// certify beta <= beta_target (or fails to certify exactness when
-  /// beta_target == 0).
-  bool allow_exact = false;
-  /// Certification goal: stop climbing once beta <= beta_target.  0 means
-  /// "certify exactness or climb as far as allowed".
-  double beta_target = 0.0;
-
   /// Bounded-frontier repair cap (graph/incremental_sssp.hpp): with a
   /// positive cap, tier-1 probes and the tier-2 restricted search truncate
   /// their decrease-only repairs after `repair_cap` distance overwrites.
@@ -102,7 +93,7 @@ struct ApproxBrResult {
   double cost = kInf;             ///< canonical agent cost of `strategy`
   double lower_bound = 0.0;       ///< admissible LB on the unrestricted BR
   double beta = 1.0;              ///< cost / lower_bound (kInf when LB == 0)
-  int tier = 1;                   ///< highest tier that ran
+  int tier = 1;                   ///< highest tier that ran (1 or 2)
   bool exact = false;             ///< certified equal to the unrestricted BR
   bool improved = false;          ///< beat options.incumbent strictly
   int candidates = 0;             ///< shortlist size actually used
@@ -144,8 +135,8 @@ struct CertifiedAgent {
 ///  * processes agents in spatial-locality order (grid cell on euclidean
 ///    hosts, host-distance-to-anchor otherwise) so consecutive ladders
 ///    touch overlapping neighborhoods while the adjacency slab is hot.
-/// Per-agent options (budget, repair_cap, beta_target, allow_exact) come
-/// from `options`; incumbent and current_dist are overwritten per agent.
+/// Per-agent options (budget, repair_cap, repair_radius_scale) come from
+/// `options`; incumbent and current_dist are overwritten per agent.
 std::vector<CertifiedAgent> certify_agents(DeviationEngine& engine,
                                            const std::vector<int>& agents,
                                            const ApproxBrOptions& options = {});

@@ -82,7 +82,8 @@ enum class Counter : int {
   kLadderCalls,            ///< ladder invocations
   kLadderTier1Final,       ///< calls resolved at tier 1 (greedy)
   kLadderTier2Final,       ///< calls resolved at tier 2 (restricted exact)
-  kLadderTier3Final,       ///< calls escalated to tier 3 (full exact)
+  kLadderTier3Final,       ///< never incremented (the ladder has two
+                           ///< tiers); kept for counter-id stability
   kLadderEscapeExact,      ///< tier-2 escape-bound exactness certificates
   kLadderCandidates,       ///< oracle shortlist entries actually returned
   kLadderCandidateBudget,  ///< shortlist budget requested

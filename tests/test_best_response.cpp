@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -309,7 +311,8 @@ TEST(BrSearchDifferential, ThreadCountInvariant) {
       EXPECT_EQ(parallel.evaluations, serial.evaluations)
           << "full-mode searches do the same work at any thread count";
 
-      // Certification mode: the result (not the work counter) is invariant.
+      // Certification mode: the result (not the work counter) is invariant,
+      // including the reported cost of a search that found no improvement.
       BestResponseOptions options;
       options.incumbent = agent_cost(game, profile, u);
       options.first_improvement = true;
@@ -319,8 +322,9 @@ TEST(BrSearchDifferential, ThreadCountInvariant) {
       const auto parallel_cert =
           exact_best_response(game, profile, u, options);
       EXPECT_EQ(parallel_cert.improved, serial_cert.improved);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel_cert.cost),
+                std::bit_cast<std::uint64_t>(serial_cert.cost));
       if (serial_cert.improved) {
-        EXPECT_EQ(parallel_cert.cost, serial_cert.cost);
         EXPECT_TRUE(parallel_cert.strategy == serial_cert.strategy);
       }
     }

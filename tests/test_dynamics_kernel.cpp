@@ -22,6 +22,7 @@
 #include "core/transposition.hpp"
 #include "constructions/cycle_instances.hpp"
 #include "metric/host_graph.hpp"
+#include "metric/points.hpp"
 #include "support/instrument.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -55,6 +56,28 @@ std::string run_bytes(const RestartRun& run) {
   }
   os << '|' << run.result.step_gains.count() << '|'
      << run.result.step_gains.sum();
+  return os.str();
+}
+
+/// Canonical byte serialization of one dynamics run's trajectory: counts,
+/// final profile and every recorded step, costs as raw IEEE bits.
+std::string dynamics_bytes(const DynamicsResult& result) {
+  std::ostringstream os;
+  os << result.converged << '|' << result.cycle_found << '|' << result.moves
+     << '|' << result.rounds << '|';
+  const auto write_set = [&](const NodeSet& set) {
+    set.for_each([&](int v) { os << v << ','; });
+    os << ';';
+  };
+  for (int u = 0; u < result.final_profile.node_count(); ++u)
+    write_set(result.final_profile.strategy(u));
+  for (const DynamicsStep& step : result.steps) {
+    os << '|' << step.round << ':' << step.agent << ':'
+       << std::bit_cast<std::uint64_t>(step.old_cost) << ':'
+       << std::bit_cast<std::uint64_t>(step.new_cost) << ':';
+    write_set(step.old_strategy);
+    write_set(step.new_strategy);
+  }
   return os.str();
 }
 
@@ -631,9 +654,22 @@ TEST(ParallelMgm, ObserverSeesRoundBatches) {
 }
 
 TEST(ParallelMgm, ByteIdenticalAcrossThreadCounts) {
+  // Two host kernels: a dense 1-2 host (dial) and a euclidean host (heap,
+  // irrational weights).  Each is probed twice: restarts fanned out over
+  // the pool (every round inside a restart then runs serially), and one
+  // direct run large enough that each round's warm pass and proposal pass
+  // fan out over the pool themselves.
   const ThreadGuard guard;
+  constexpr auto kRegions =
+      static_cast<std::size_t>(instrument::Counter::kPoolRegions);
   Rng rng(4067);
-  const Game game(random_one_two_host(24, 0.5, rng), 1.5);
+  const auto make_game = [&](bool euclidean, int n) {
+    return euclidean
+               ? Game(HostGraph::from_points(
+                          uniform_points(n, 2, 1000.0, rng), 2.0),
+                      400.0)
+               : Game(random_one_two_host(n, 0.5, rng), 1.5);
+  };
 
   RestartOptions options;
   options.restarts = 24;
@@ -644,18 +680,47 @@ TEST(ParallelMgm, ByteIdenticalAcrossThreadCounts) {
   options.dynamics.mgm_shards = 8;
   options.dynamics.max_moves = 400;
 
-  set_default_thread_count(1);
-  const RestartReport serial = run_restarts(game, options);
-  set_default_thread_count(8);
-  const RestartReport parallel = run_restarts(game, options);
+  for (const bool euclidean : {false, true}) {
+    SCOPED_TRACE(euclidean ? "euclidean host" : "dense host");
+    const Game small = make_game(euclidean, 24);
+    set_default_thread_count(1);
+    const RestartReport serial = run_restarts(small, options);
+    set_default_thread_count(8);
+    const RestartReport parallel = run_restarts(small, options);
 
-  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-  for (std::size_t i = 0; i < serial.runs.size(); ++i)
-    EXPECT_EQ(run_bytes(serial.runs[i]), run_bytes(parallel.runs[i]))
-        << "restart " << i;
-  EXPECT_EQ(serial.converged, parallel.converged);
-  EXPECT_EQ(serial.moves_to_convergence.sum(),
-            parallel.moves_to_convergence.sum());
+    ASSERT_EQ(serial.runs.size(), parallel.runs.size());
+    std::size_t max_batch = 0;
+    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
+      EXPECT_EQ(run_bytes(serial.runs[i]), run_bytes(parallel.runs[i]))
+          << "restart " << i;
+      max_batch = std::max(max_batch, serial.runs[i].result.max_round_commits);
+    }
+    EXPECT_EQ(serial.converged, parallel.converged);
+    EXPECT_EQ(serial.moves_to_convergence.sum(),
+              parallel.moves_to_convergence.sum());
+    EXPECT_GT(max_batch, 1u) << "no round batched, so no multi-move commit "
+                                "was compared";
+
+    // Direct run: n = 64 agents is above the pool's serial cutoff, so the
+    // rounds themselves are the parallel work.
+    const Game large = make_game(euclidean, 64);
+    const StrategyProfile start = recursive_tree_profile(large, rng);
+    DynamicsOptions direct = options.dynamics;
+    direct.max_moves = 150;
+    direct.seed = 17;
+    set_default_thread_count(1);
+    const DynamicsResult serial_run = run_dynamics(large, start, direct);
+    set_default_thread_count(8);
+    const std::uint64_t regions_before =
+        instrument::thread_counters()[kRegions];
+    const DynamicsResult pooled_run = run_dynamics(large, start, direct);
+    EXPECT_EQ(dynamics_bytes(serial_run), dynamics_bytes(pooled_run));
+    EXPECT_GT(serial_run.max_round_commits, 1u);
+    // The pooled run dispatched its rounds to the pool (not serial
+    // fallbacks), so the comparison covers in-round fan-out.
+    if (instrument::compiled_in())
+      EXPECT_GT(instrument::thread_counters()[kRegions], regions_before);
+  }
 }
 
 // --- restart driver determinism (acceptance) ------------------------------
