@@ -55,10 +55,11 @@ namespace {
 
 constexpr int kBudget = 8;       ///< spatial shortlist size per ladder call
 constexpr double kAlpha = 100.0; ///< edge price for every game in the bench
-/// Bounded-frontier repair cap for the large tier: tier-1 probes truncate
-/// after this many distance writes and rank candidates by their certified
-/// underestimates; only winners pay a full repair.  0 would restore the
-/// exact-repair ladder bit for bit.
+/// Bounded-frontier repair cap for the large tier: every facility row the
+/// ladder builds truncates after this many distance writes, tier 1 ranks
+/// candidates by the rows' certified floors and tier 2 merges them; only
+/// adopted strategies pay full repairs.  0 would restore the exact-row
+/// ladder bit for bit.
 constexpr std::size_t kRepairCap = 2048;
 
 Game make_geo_game(int n, Rng& rng) {
@@ -326,16 +327,17 @@ int main(int argc, char** argv) {
       "best response vs the approximate-BR ladder on euclidean games "
       "(per-agent cost and evaluation counts; ladder soundness against the "
       "exact optimum asserted inline), then bounded-frontier approx-ladder "
-      "dynamics (repair_cap truncates tier-1 probe repairs; only winning "
-      "candidates pay a full repair) plus a batched certify_agents per-agent "
+      "dynamics (repair_cap truncates the ladder's facility rows; only "
+      "adopted strategies pay full repairs) plus a batched certify_agents "
+      "per-agent "
       "(beta, eps) sample at n = 10^4, 10^5 and 10^6 with the "
       "dense-matrix-free contract enforced "
       "(DistanceMatrix::allocated_cells_total() unchanged) and the worker-"
       "arena peak footprint reported per node.  Every phase carries its "
       "kernel-counter delta (nonzero entries only; empty under "
       "GNCG_INSTRUMENT=OFF), so the ladder cost split -- base Dijkstra "
-      "relaxations vs incremental repairs vs restricted-search expansions "
-      "-- is recorded, not guessed.\",\n");
+      "relaxations vs row builds and exact repairs vs restricted-search "
+      "merges -- is recorded, not guessed.\",\n");
   {
     char alpha_json[32], budget_json[32], cap_json[32];
     std::snprintf(alpha_json, sizeof alpha_json, "%.1f", gncg::kAlpha);

@@ -159,12 +159,23 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   result.cost = empty_cost;
   result.evaluations = 1;
 
+  // One facility row per shortlist candidate, built from the base vector
+  // under the repair cap (exact with cap 0): tier 1 ranks its probes by
+  // them and tier 2 merges them.
+  ImprovementRows& rows = scratch.rows;
+  build_improvement_rows(env, cand, cand_w, base_dist, options.repair_cap,
+                         cand.size(), rows);
+
   // --- tier 1: greedy edge additions over the shortlist ------------------
   //
-  // Probe each unused candidate with a checkpointed decrease-only repair,
-  // commit the best strictly-improving addition, repeat until none.  At
-  // most |C| rounds of |C| probes; each probe is one bounded repair plus an
-  // O(n) aggregation.
+  // `sssp` holds the exact vector d of the committed strategy S.  A row
+  // brackets the cost of adding its candidate x without any repair:
+  // d_{S+x}(t) = min(d(t), c_x(t)) >= min(d(t), row_x(t), F_x), so
+  //     alpha * edges + sum_t term_{F_x}(t, min(d(t), row_x(t)))
+  // (RowFloor::with_row, O(row) per probe) is an admissible floor, and the
+  // exact cost when the row is exact (F_x = kInf).  Estimates rank and skip
+  // probes; a candidate is only adopted after a full exact repair shows a
+  // strict improvement (canonical cost evaluation as in br_search).
   IncrementalSssp& sssp = scratch.sssp;
   sssp.reset(base_dist);
   NodeSet current(n);
@@ -173,8 +184,7 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
     env.for_neighbors(x, visit);
   };
   // Canonical evaluation of `current` + candidate v: re-sum the edge term
-  // in increasing target order (br_search's contract), then the maintained
-  // distance aggregation supplied by the caller.
+  // in increasing target order (br_search's contract).
   const auto edge_sum_with = [&](int v) {
     current.insert(v);
     double edge_sum = 0.0;
@@ -183,94 +193,85 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
     current.erase(v);
     return edge_sum;
   };
-  if (options.repair_cap == 0) {
+  // Greedy commits in order: (change-log mark after the commit, candidate
+  // index), so tier 2's re-cost can restart from a committed prefix.
+  std::vector<std::pair<IncrementalSssp::Checkpoint, std::size_t>>& commits =
+      scratch.commits;
+  commits.clear();
+  // Exact cost of `current` + cand[i], leaving the repair applied.
+  const auto repaired_cost = [&](std::size_t i) {
+    sssp.relax_insert(cand[i], cand_w[i], environment_edges);
+    ++result.evaluations;
+    return game.alpha() * edge_sum_with(cand[i]) + dist_sum(sssp.dist());
+  };
+  std::vector<double>& thresholds = scratch.thresholds;
+  const bool rows_exact =
+      std::none_of(rows.frontier.begin(), rows.frontier.end(),
+                   [](double frontier) { return frontier < kInf; });
+  if (rows_exact) {
+    // Exact rows (always with cap 0): steepest descent, the historical rule
+    // bit for bit, so a cap that never fires changes nothing.  Each round
+    // scans the unused candidates in shortlist order and a strict
+    // improvement over the round's best replaces it; a floor that cannot
+    // beat the running best skips the candidate, which its exact cost could
+    // not have done either.
+    thresholds.assign(1, kInf);
     for (;;) {
+      scratch.floors.build(host_row, sssp.dist(), thresholds);
       int best_i = -1;
       double best_cost = current_cost;
       for (std::size_t i = 0; i < cand.size(); ++i) {
-        const int v = cand[i];
-        if (current.contains(v)) continue;
-        const IncrementalSssp::Checkpoint mark = sssp.checkpoint();
-        sssp.relax_insert(v, cand_w[i], environment_edges);
-        const double cost =
-            game.alpha() * edge_sum_with(v) + dist_sum(sssp.dist());
+        if (current.contains(cand[i])) continue;
+        const double floor_cost =
+            game.alpha() * edge_sum_with(cand[i]) +
+            scratch.floors.with_row(kInf, rows.entries[i]).lo;
         ++result.evaluations;
+        if (!improves(floor_cost, best_cost)) continue;
+        const IncrementalSssp::Checkpoint mark = sssp.checkpoint();
+        const double cost = repaired_cost(i);
+        sssp.rollback(mark);
         if (improves(cost, best_cost)) {
           best_cost = cost;
           best_i = static_cast<int>(i);
         }
-        sssp.rollback(mark);
       }
       if (best_i < 0) break;
-      const int v = cand[static_cast<std::size_t>(best_i)];
-      current.insert(v);
-      sssp.relax_insert(v, cand_w[static_cast<std::size_t>(best_i)],
-                        environment_edges);
+      const std::size_t i = static_cast<std::size_t>(best_i);
+      current.insert(cand[i]);
+      sssp.relax_insert(cand[i], cand_w[i], environment_edges);
       current_cost = best_cost;
+      commits.emplace_back(sssp.checkpoint(), i);
     }
   } else {
-    // Bounded-frontier greedy: probe every unused candidate under the
-    // repair cap, score it by its exact cost when the repair ran to the
-    // fixpoint and by the admissible floor
-    //     alpha * edges + sum_t max(host(t), min(dist(t), F))
-    // when it truncated at frontier key F (a certified lower bound, so a
-    // probe scoring >= current_cost genuinely cannot improve and is
-    // dropped).  Surviving probes are retried cheapest-estimate-first with
-    // *full* repairs; the first exact strict improvement commits.  Only
-    // winning candidates ever pay an uncapped flood -- the 49x
-    // repair-to-base relaxation ratio of the PR 8 certify phase was
-    // losing probes flooding a 10^5-node network.
-    FrontierPolicy policy;
-    policy.node_cap = options.repair_cap;
+    // Truncated rows: one pass in floor order (each candidate's floor alone
+    // over the base vector), keeping every candidate whose exact repair
+    // strictly improves.  The distance benefit of an edge only shrinks as
+    // the strategy grows (facility location is submodular), so a candidate
+    // rejected once would be rejected again: no later round is needed, and
+    // each candidate pays at most one uncapped repair.
+    thresholds.assign(rows.frontier.begin(), rows.frontier.end());
+    scratch.floors.build(host_row, base_dist, thresholds);
     std::vector<std::pair<double, int>>& rank = scratch.probe_rank;
-    for (;;) {
-      rank.clear();
-      for (std::size_t i = 0; i < cand.size(); ++i) {
-        const int v = cand[i];
-        if (current.contains(v)) continue;
-        // Adaptive radius: truncate in the candidate's own scale (frontier
-        // keys start at the inserted edge's weight, so any scale >= 1
-        // leaves room to propagate) with the write cap as backstop.
-        policy.radius = options.repair_radius_scale > 0.0
-                            ? options.repair_radius_scale * cand_w[i]
-                            : kInf;
-        const IncrementalSssp::Checkpoint mark = sssp.checkpoint();
-        const RepairOutcome probe =
-            sssp.relax_insert(v, cand_w[i], policy, environment_edges);
-        double estimate;
-        if (probe.truncated) {
-          estimate = game.alpha() * edge_sum_with(v) +
-                     tight_floor_sum(host_row, sssp.dist(),
-                                     probe.frontier_min);
-          GNCG_COUNT(kLadderBoundedProbes);
-        } else {
-          estimate =
-              game.alpha() * edge_sum_with(v) + dist_sum(sssp.dist());
-        }
-        ++result.evaluations;
-        if (improves(estimate, current_cost))
-          rank.emplace_back(estimate, static_cast<int>(i));
+    rank.clear();
+    for (std::size_t i = 0; i < cand.size(); ++i) {
+      rank.emplace_back(
+          game.alpha() * cand_w[i] +
+              scratch.floors.with_row(rows.frontier[i], rows.entries[i]).lo,
+          static_cast<int>(i));
+      ++result.evaluations;
+    }
+    std::sort(rank.begin(), rank.end());
+    for (const auto& [floor_cost, ri] : rank) {
+      const std::size_t i = static_cast<std::size_t>(ri);
+      const IncrementalSssp::Checkpoint mark = sssp.checkpoint();
+      const double cost = repaired_cost(i);
+      if (improves(cost, current_cost)) {
+        current.insert(cand[i]);
+        current_cost = cost;
+        commits.emplace_back(sssp.checkpoint(), i);
+      } else {
         sssp.rollback(mark);
       }
-      std::sort(rank.begin(), rank.end());
-      bool committed = false;
-      for (const auto& [estimate, ri] : rank) {
-        const std::size_t i = static_cast<std::size_t>(ri);
-        const int v = cand[i];
-        const IncrementalSssp::Checkpoint mark = sssp.checkpoint();
-        sssp.relax_insert(v, cand_w[i], environment_edges);
-        const double cost =
-            game.alpha() * edge_sum_with(v) + dist_sum(sssp.dist());
-        ++result.evaluations;
-        if (improves(cost, current_cost)) {
-          current.insert(v);
-          current_cost = cost;
-          committed = true;
-          break;
-        }
-        sssp.rollback(mark);
-      }
-      if (!committed) break;
     }
   }
   if (improves(current_cost, result.cost)) {
@@ -298,30 +299,44 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   if (!result.exact) {
     // --- tier 2: exact search restricted to the shortlist ----------------
     //
-    // Shares the ladder's base vector (no second base Dijkstra) and, under
-    // a repair cap, runs the bounded branch-and-bound: br.cost is then a
-    // certified lower bound on the restricted optimum whenever
-    // br.truncated, and the adopted strategy is re-costed by full repairs
-    // below, so result.cost stays an achieved cost.
+    // Shares the ladder's base vector, host row and facility rows (no
+    // second base Dijkstra, host scan or row build) and, under a repair
+    // cap, runs the bounded branch-and-bound: br.cost is then a certified
+    // lower bound on the restricted optimum whenever br.truncated, and the
+    // adopted strategy is re-costed by full repairs below, so result.cost
+    // stays an achieved cost.
     BestResponseOptions restricted;
     restricted.incumbent = result.cost;
     restricted.restrict_targets = &cand;
     restricted.base_dist = &base_dist;
+    restricted.host_row = &host_row;
+    restricted.rows = &rows;
     restricted.repair_cap = options.repair_cap;
     const BestResponseResult br = br_search_sum(env, restricted);
     result.evaluations += br.evaluations;
     if (br.improved) {
       if (br.truncated) {
-        // Re-cost the winning strategy exactly: full repairs from the base
-        // vector converge to the least fixpoint regardless of insertion
-        // order, so this matches the unbounded search's evaluation of the
-        // same subset bitwise.
-        sssp.reset(base_dist);
+        // Re-cost the winning strategy exactly, from the longest prefix of
+        // tier-1 commits it contains: rolling the greedy's change log back
+        // to that commit restores its exact vector, and full repairs
+        // converge to the least fixpoint regardless of insertion order, so
+        // this matches the unbounded search's evaluation of the same subset
+        // bitwise.
+        std::size_t kept = 0;
+        while (kept < commits.size() &&
+               br.strategy.contains(cand[commits[kept].second]))
+          ++kept;
+        sssp.rollback(kept == 0 ? 0 : commits[kept - 1].first);
+        const auto committed = [&](int v) {
+          for (std::size_t j = 0; j < kept; ++j)
+            if (cand[commits[j].second] == v) return true;
+          return false;
+        };
         double edge_sum = 0.0;
         br.strategy.for_each([&](int v) {
           const double w = weight_row[static_cast<std::size_t>(v)];
           edge_sum += w;
-          sssp.relax_insert(v, w, environment_edges);
+          if (!committed(v)) sssp.relax_insert(v, w, environment_edges);
         });
         const double achieved =
             game.alpha() * edge_sum + dist_sum(sssp.dist());

@@ -9,15 +9,24 @@
 // oracle (HostBackend::candidate_targets -- grid-accelerated on euclidean
 // backends) and climbs two tiers, each with a certified quality bound:
 //
-//  * Tier 1 -- greedy over the shortlist.  Starting from the empty
-//    strategy, repeatedly add the candidate edge with the largest cost
-//    decrease (incremental decrease-only SSSP repair per probe, rollback
-//    between probes; canonical cost evaluation as in br_search).  Cost:
-//    O(budget^2) bounded-Dijkstra repairs, no subset enumeration.
+//  * Rows.  One facility row per shortlist candidate, built once per call
+//    from the base vector (core/br_search.hpp build_improvement_rows),
+//    capped at repair_cap overwrites, with its truncation key.  Both tiers
+//    read the same table.
+//  * Tier 1 -- greedy over the rows.  Starting from the empty strategy,
+//    repeatedly add a candidate edge that strictly decreases the cost.
+//    Each probe is an O(row) admissible floor (graph/improvement_rows.hpp
+//    RowFloor over the committed strategy's exact vector); only probes
+//    whose floor can win pay a full exact repair, and only an exact strict
+//    improvement commits (canonical cost evaluation as in br_search).  With
+//    exact rows (cap 0, or a cap that never fired) each round takes the
+//    best such candidate, in shortlist order on ties; with truncated rows
+//    one pass in floor order keeps every candidate that improves.
 //  * Tier 2 -- exact search restricted to the shortlist.  br_search with
-//    BestResponseOptions::restrict_targets: the true minimum c_C over
-//    strategies inside the candidate set C.  Tier 2 runs only when tier 1
-//    could not certify its result exact.
+//    BestResponseOptions::restrict_targets over the ladder's rows: the true
+//    minimum c_C over strategies inside the candidate set C (a certified
+//    lower bound on it when a merged row was truncated).  Tier 2 runs only
+//    when tier 1 could not certify its result exact.
 //
 // Certification.  Every tier reports an admissible lower bound LB on the
 // *unrestricted* best-response cost and beta = cost / LB.  The bound is the
@@ -55,26 +64,13 @@ struct ApproxBrOptions {
   /// The agent's current cost; `improved` reports a strict win over it.
   double incumbent = kInf;
   /// Bounded-frontier repair cap (graph/incremental_sssp.hpp): with a
-  /// positive cap, tier-1 probes and the tier-2 restricted search truncate
-  /// their decrease-only repairs after `repair_cap` distance overwrites.
-  /// Truncated probes settle on a certified *underestimate* used only for
-  /// pruning/ranking; every adopted strategy is re-costed by full repairs,
-  /// so `cost` stays an achieved (canonical) cost and the certificates stay
-  /// admissible.  0 = exact repairs everywhere (the historical ladder,
-  /// bit-for-bit).
+  /// positive cap, every facility row stops after `repair_cap` distance
+  /// overwrites and keeps its frontier key.  Truncated rows yield certified
+  /// *underestimates* used only for ranking and pruning; every adopted
+  /// strategy is re-costed by full repairs, so `cost` stays an achieved
+  /// (canonical) cost and the certificates stay admissible.  0 = exact rows
+  /// everywhere (the historical ladder, bit-for-bit).
   std::size_t repair_cap = 0;
-
-  /// Adaptive repair radius for bounded tier-1 probes: probing candidate
-  /// edge (u, v) of weight w truncates its repair once the cheapest
-  /// unexplored frontier key exceeds `repair_radius_scale * w` -- a
-  /// locality bound in the candidate's own scale (a weight-w edge mostly
-  /// improves nodes within O(w) of its endpoint), where the write cap alone
-  /// is blind to geometry.  The cap stays on as the worst-case backstop.
-  /// Only consulted in bounded mode (repair_cap > 0), so the cap-0 exact
-  /// ladder is untouched; truncated estimates still only rank probes and
-  /// every adopted strategy is re-costed by full repairs.  0 disables the
-  /// radius (write-cap-only truncation).
-  double repair_radius_scale = 4.0;
 
   /// Agent u's SSSP row in the *current built network* (including u's own
   /// edges), e.g. DeviationEngine::distances_warm(u).  When set, the ladder
@@ -135,7 +131,7 @@ struct CertifiedAgent {
 ///  * processes agents in spatial-locality order (grid cell on euclidean
 ///    hosts, host-distance-to-anchor otherwise) so consecutive ladders
 ///    touch overlapping neighborhoods while the adjacency slab is hot.
-/// Per-agent options (budget, repair_cap, repair_radius_scale) come from
+/// Per-agent options (budget, repair_cap) come from
 /// `options`; incumbent and current_dist are overwritten per agent.
 std::vector<CertifiedAgent> certify_agents(DeviationEngine& engine,
                                            const std::vector<int>& agents,

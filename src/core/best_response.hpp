@@ -25,6 +25,7 @@
 #include "core/cost.hpp"
 #include "core/game.hpp"
 #include "graph/csr_adjacency.hpp"
+#include "graph/improvement_rows.hpp"
 
 namespace gncg {
 
@@ -102,12 +103,12 @@ struct BestResponseResult {
   double cost = kInf;             ///< agent cost of that deviation
   bool improved = false;          ///< beat the incumbent bound strictly
   std::uint64_t evaluations = 0;  ///< number of candidate evaluations
-  /// True when the bounded-frontier mode (repair_cap > 0) truncated at
-  /// least one repair on the path to the returned optimum: `cost` is then a
-  /// certified *lower bound* on the true cost of `strategy` (and of the
-  /// restricted optimum), not an achieved cost.  Callers must re-cost the
-  /// strategy exactly before adopting it.  Always false when repair_cap
-  /// is 0, where `cost` is the exact (restricted) optimum.
+  /// True when a row merged into the returned optimum was truncated by the
+  /// bounded-frontier cap (repair_cap > 0): `cost` is then a certified
+  /// *lower bound* on the true cost of `strategy` (and of the restricted
+  /// optimum), not an achieved cost.  Callers must re-cost the strategy
+  /// exactly before adopting it.  Always false when repair_cap is 0, where
+  /// `cost` is the exact (restricted) optimum.
   bool truncated = false;
 };
 
@@ -131,14 +132,14 @@ struct BestResponseOptions {
   /// gate in tests/test_approx_br.cpp).  The pointee must outlive the call.
   const std::vector<int>* restrict_targets = nullptr;
 
-  /// Bounded-frontier mode: cap on distance overwrites per incremental
-  /// repair inside the DFS (graph/incremental_sssp.hpp FrontierPolicy).
-  /// 0 = exact search (the historical behavior, bit-for-bit).  With a
-  /// positive cap, truncated branches are costed by the admissible floor
-  /// sum_t max(host(t), min(dist(t), F)) instead of the distance sum, so
-  /// the returned cost is a certified lower bound whenever
-  /// BestResponseResult::truncated is set (and still the exact optimum when
-  /// no repair on the winning path truncated).
+  /// Bounded-frontier mode: cap on distance overwrites per facility-row
+  /// build (graph/incremental_sssp.hpp FrontierPolicy).  0 = exact search
+  /// (the historical behavior, bit-for-bit).  With a positive cap, a subset
+  /// whose merged rows include a truncated one is costed by the admissible
+  /// floor sum_t max(host(t), min(dist(t), PF)) instead of the distance sum
+  /// (PF the smallest truncation key among its rows), so the returned cost
+  /// is a certified lower bound whenever BestResponseResult::truncated is
+  /// set (and still the exact optimum when no row of the winner truncated).
   std::size_t repair_cap = 0;
 
   /// When non-null, seeds the search's base distance vector from this
@@ -148,6 +149,19 @@ struct BestResponseOptions {
   /// ladder's tiers this way.  The pointee must match the environment
   /// exactly (bitwise: it becomes the branch seed) and outlive the call.
   const std::vector<double>* base_dist = nullptr;
+
+  /// When non-null, the agent's host-closure row (host_distance(u, v) for
+  /// every v), used as-is instead of re-querying the backend.  Same
+  /// lifetime and exactness rules as base_dist.
+  const std::vector<double>* host_row = nullptr;
+
+  /// When non-null, the search's facility rows, built by the caller with
+  /// build_improvement_rows (core/br_search.hpp) from base_dist under this
+  /// repair_cap, one row per entry of restrict_targets in list order.  The
+  /// list must then be exactly the search's candidate order: purchasable,
+  /// (weight, id)-sorted and duplicate-free, as the spatial oracle returns
+  /// it.  Requires base_dist and restrict_targets.
+  const ImprovementRows* rows = nullptr;
 };
 
 /// Exact best response of agent u against the rest of profile `s`.

@@ -25,6 +25,10 @@ namespace {
 // order-insensitive).
 
 struct SumCostModel {
+  /// The SUM floors decompose over nodes, so capped-row searches bracket
+  /// them with RowFloor (graph/improvement_rows.hpp).
+  static constexpr bool kRowFloors = true;
+
   static double distance_term(const std::vector<double>& dist) {
     double total = 0.0;
     for (double d : dist) total += d;
@@ -46,6 +50,8 @@ struct SumCostModel {
 };
 
 struct MaxCostModel {
+  static constexpr bool kRowFloors = false;
+
   static double distance_term(const std::vector<double>& dist) {
     double worst = 0.0;
     for (double d : dist) worst = std::max(worst, d);
@@ -68,11 +74,12 @@ struct MaxCostModel {
 /// chosen candidate index is `branch`.  Owns its distance state and writes
 /// its result into its own outcome slot; shares nothing mutable, so
 /// branches run concurrently and the fold over branch outcomes is
-/// independent of thread count.
-template <class Model>
+/// independent of thread count.  `Bracketed` selects the RowFloor
+/// shortcuts of capped-row SUM searches at compile time, so the exact
+/// search's per-node loop carries none of their branches.
+template <class Model, bool Bracketed>
 struct BranchSearch {
   const Game* game = nullptr;
-  const AgentEnvironment* env = nullptr;
   const std::vector<int>* candidates = nullptr;
   const std::vector<double>* weights = nullptr;
   const std::vector<double>* weight_row = nullptr;  ///< weight by node id
@@ -93,32 +100,30 @@ struct BranchSearch {
   double current_weight = 0.0;
   bool done = false;
 
-  /// Exact mode (repair_cap == 0): the driver's read-only row table plus
-  /// this branch's distance vector and min-merge undo log.  Inserting
-  /// candidate i lowers dist to min(dist, row_i) and logs every overwrite;
-  /// removing it replays the log back to the insert's mark.
-  const std::vector<std::vector<std::pair<int, double>>>* rows = nullptr;
+  /// The driver's read-only row table plus this branch's distance vector
+  /// and min-merge undo log.  Inserting candidate i lowers dist to
+  /// min(dist, row_i) and logs every overwrite; removing it replays the log
+  /// back to the insert's mark.  `path_frontier` is the minimum truncation
+  /// key over the rows still on the DFS path (kInf while every one is
+  /// exact): true(t) >= min(dist(t), path_frontier) for every node t
+  /// (graph/improvement_rows.hpp).  Saved/restored around each descend
+  /// step like the undo mark.
+  const ImprovementRows* rows = nullptr;
   std::vector<double>* dist = nullptr;
   std::vector<std::pair<int, double>>* undo = nullptr;
-
-  /// Bounded-frontier mode (repair_cap > 0): the agent's vector is
-  /// maintained by stacked IncrementalSssp repairs that honor the cap, and
-  /// `path_frontier` is the minimum frontier key over the *truncated*
-  /// insertions still on the DFS path (kInf when every repair on the path
-  /// ran exact).  The repair invariant composes along the path:
-  /// true(t) >= min(dist(t), path_frontier), because a node left deficient
-  /// by some truncated repair has its fixing relaxation chain blocked at a
-  /// key >= that repair's frontier >= path_frontier (keys along a shortest
-  /// path are nondecreasing under monotone fl-addition), while a node a
-  /// later repair did fix satisfies dist == true.  Saved/restored around
-  /// each descend step like the distance log.
-  std::size_t repair_cap = 0;
-  IncrementalSssp* sssp = nullptr;
   double path_frontier = kInf;
 
-  const std::vector<double>& distances() const {
-    return repair_cap > 0 ? sssp->dist() : *dist;
-  }
+  /// Bracketed instantiation (capped-row SUM searches) only: brackets of
+  /// the canonical sums in O(entries merged), keyed by the base vector.
+  /// Otherwise every evaluation and per-node floor takes its O(n) canonical
+  /// pass, and exact mode compiles to that plain loop alone.
+  /// `eval_delta` is the bracket delta of the merged vector at threshold
+  /// path_frontier (the evaluation's); insert() folds its logged writes into
+  /// it, so an evaluation costs O(1) unless the insert lowered the path
+  /// frontier, which recomputes it in O(entries merged).  Saved/restored
+  /// with path_frontier.
+  const RowFloor* floors = nullptr;
+  double eval_delta = 0.0;
 
   double bound() const { return std::min(out->cost, base_bound); }
 
@@ -141,23 +146,30 @@ struct BranchSearch {
     double edge_sum = 0.0;
     current->for_each(
         [&](int v) { edge_sum += (*weight_row)[static_cast<std::size_t>(v)]; });
-    // With a live truncation on the path the maintained vector is only an
-    // upper bound, so the recorded value is the admissible floor
+    const double edge_cost = game->alpha() * edge_sum;
+    ++out->evaluations;
+    GNCG_COUNT(kBrEvaluations);
+    // A subset whose bracketed cost cannot be recorded skips the O(n) sum:
+    // the canonical cost is >= the bracket's low end.
+    if constexpr (Bracketed) {
+      if (!improves(edge_cost + floors->bracket(path_frontier, eval_delta,
+                                                undo->size())
+                                    .lo,
+                    bound()))
+        return;
+    }
+    // With a truncated row on the path the merged vector is only an upper
+    // bound, so the recorded value is the admissible floor
     // sum_t max(host(t), min(dist(t), path_frontier)) -- a certified lower
     // bound on the subset's true cost.  Without one, the vector is the exact
     // fixpoint and the plain distance term keeps the cap-0 path bitwise
     // identical (max(host, dist) could differ from dist in the last ulp).
-    double dist_term;
-    bool lower_bound_only = false;
-    if (repair_cap > 0 && path_frontier < kInf) {
-      dist_term = Model::tight_floor(*host_row, sssp->dist(), path_frontier);
-      lower_bound_only = true;
-    } else {
-      dist_term = Model::distance_term(distances());
-    }
-    const double cost = game->alpha() * edge_sum + dist_term;
-    ++out->evaluations;
-    GNCG_COUNT(kBrEvaluations);
+    const bool lower_bound_only = path_frontier < kInf;
+    const double dist_term =
+        lower_bound_only ? Model::tight_floor(*host_row, *dist, path_frontier)
+                         : Model::distance_term(*dist);
+    if constexpr (Bracketed) GNCG_COUNT(kBrFullSums);
+    const double cost = edge_cost + dist_term;
     if (improves(cost, bound())) {
       out->cost = cost;
       out->strategy = *current;
@@ -168,7 +180,7 @@ struct BranchSearch {
   }
 
   /// Two-level admissible cut for the subtree rooted at candidate i: the
-  /// O(1) global floor first, then the O(n) per-node floor.  Both are
+  /// O(1) global floor first, then the per-node floor.  Both are
   /// nondecreasing in the candidate weight, so on the weight-sorted list a
   /// failure cuts every later sibling too (the caller breaks).
   bool pruned(std::size_t i) const {
@@ -179,16 +191,26 @@ struct BranchSearch {
       GNCG_COUNT(kBrPrunesGlobal);
       return true;
     }
-    // Under bounded repairs the maintained dist is an upper bound, so the
-    // per-node floor compensates with the path frontier: any true distance
-    // is >= min(dist(t), path_frontier), and a new edge still costs at
-    // least w_next.  With cap 0 the effective weight equals w_next and the
-    // computation is the historical one.
-    const double w_eff = repair_cap > 0
-                             ? std::min((*weights)[i], path_frontier)
-                             : (*weights)[i];
-    if (!improves(edge_cost +
-                      Model::tight_floor(*host_row, distances(), w_eff),
+    // The merged vector may be an upper bound (truncated rows on the path),
+    // so the per-node floor also clamps at the path frontier: any true
+    // distance is >= min(dist(t), path_frontier), and a new edge still
+    // costs at least w_next.  Without truncation the threshold is w_next.
+    const double theta = std::min((*weights)[i], path_frontier);
+    if constexpr (Bracketed) {
+      // Decide from the bracket when it settles the canonical comparison.
+      // Merged rows only lower terms, so the base sum alone is an upper
+      // end: when even it cannot prune, the O(entries) deltas are skipped.
+      if (improves(edge_cost + floors->bracket(theta, 0.0, 0).hi, b))
+        return false;
+      const RowFloor::Interval floor = floors->merged(theta, *dist, *undo);
+      if (!improves(edge_cost + floor.lo, b)) {
+        GNCG_COUNT(kBrPrunesPerNode);
+        return true;
+      }
+      if (improves(edge_cost + floor.hi, b)) return false;
+      GNCG_COUNT(kBrFullSums);
+    }
+    if (!improves(edge_cost + Model::tight_floor(*host_row, *dist, theta),
                   b)) {
       GNCG_COUNT(kBrPrunesPerNode);
       return true;
@@ -196,58 +218,65 @@ struct BranchSearch {
     return false;
   }
 
-  /// Undo position to hand back to remove().
-  std::size_t checkpoint() const {
-    return repair_cap > 0 ? sssp->checkpoint() : undo->size();
-  }
-
+  /// dist <- min(dist, row_i), logging every overwrite.
   void insert(std::size_t i) {
     GNCG_COUNT(kBrExpansions);
     current->insert((*candidates)[i]);
     current_weight += (*weights)[i];
-    if (repair_cap == 0) {
-      merge_row(i);
-      return;
-    }
-    // The source's distance is 0 and never changes, so the repair needs
-    // only the environment edges: no path improves through the source.
-    FrontierPolicy policy;
-    policy.node_cap = repair_cap;
-    const RepairOutcome outcome = sssp->relax_insert(
-        (*candidates)[i], (*weights)[i], policy,
-        [this](int x, auto&& visit) { env->for_neighbors(x, visit); });
-    if (outcome.truncated)
-      path_frontier = std::min(path_frontier, outcome.frontier_min);
-  }
-
-  /// dist <- min(dist, row_i), logging every overwrite.
-  void merge_row(std::size_t i) {
-    GNCG_DASSERT(i < rows->size());
+    const double frontier_before = path_frontier;
+    path_frontier = std::min(path_frontier, rows->frontier[i]);
     std::vector<double>& d = *dist;
     GNCG_IF_INSTRUMENT(const std::size_t mark = undo->size();)
-    for (const auto& [t, row_t] : (*rows)[i]) {
-      double& slot = d[static_cast<std::size_t>(t)];
-      if (row_t < slot) {
-        undo->emplace_back(t, slot);
-        slot = row_t;
+    if (Bracketed && path_frontier == frontier_before) {
+      const std::vector<double>& h = *host_row;
+      for (const auto& [t, row_t] : rows->entries[i]) {
+        const auto ti = static_cast<std::size_t>(t);
+        double& slot = d[ti];
+        if (row_t < slot) {
+          eval_delta += RowFloor::term(h[ti], row_t, path_frontier) -
+                        RowFloor::term(h[ti], slot, path_frontier);
+          undo->emplace_back(t, slot);
+          slot = row_t;
+        }
       }
+    } else {
+      for (const auto& [t, row_t] : rows->entries[i]) {
+        double& slot = d[static_cast<std::size_t>(t)];
+        if (row_t < slot) {
+          undo->emplace_back(t, slot);
+          slot = row_t;
+        }
+      }
+      if constexpr (Bracketed)
+        eval_delta = floors->merged_delta(path_frontier, d, *undo);
     }
     GNCG_COUNT_N(kBrMergeWrites, undo->size() - mark);
   }
 
-  void remove(std::size_t i, std::size_t mark) {
-    if (repair_cap > 0) {
-      sssp->rollback(mark);
-    } else {
-      std::vector<double>& d = *dist;
-      while (undo->size() > mark) {
-        const auto& [node, old_dist] = undo->back();
-        d[static_cast<std::size_t>(node)] = old_dist;
-        undo->pop_back();
-      }
+  void remove(std::size_t i, std::size_t mark, double frontier_mark,
+              double delta_mark) {
+    std::vector<double>& d = *dist;
+    while (undo->size() > mark) {
+      const auto& [node, old_dist] = undo->back();
+      d[static_cast<std::size_t>(node)] = old_dist;
+      undo->pop_back();
     }
+    path_frontier = frontier_mark;
+    eval_delta = delta_mark;
     current->erase((*candidates)[i]);
     current_weight -= (*weights)[i];
+  }
+
+  /// Inserts candidate i, evaluates the subset and explores its supersets
+  /// with larger indices, then backtracks.
+  void expand(std::size_t i) {
+    const std::size_t mark = undo->size();
+    const double frontier_mark = path_frontier;
+    const double delta_mark = eval_delta;
+    insert(i);
+    evaluate();
+    if (!done) descend(i + 1);
+    remove(i, mark, frontier_mark, delta_mark);
   }
 
   void descend(std::size_t start) {
@@ -258,13 +287,7 @@ struct BranchSearch {
         break;
       }
       if (pruned(i)) break;
-      const std::size_t mark = checkpoint();
-      const double pf_mark = path_frontier;
-      insert(i);
-      evaluate();
-      if (!done) descend(i + 1);
-      remove(i, mark);
-      path_frontier = pf_mark;
+      expand(i);
     }
   }
 };
@@ -324,31 +347,37 @@ void run_search(const AgentEnvironment& env,
   // (the empty-strategy network).  Every branch seeds its distance state
   // from this.  Integer-weight hosts take the bucket-queue kernel
   // (bit-identical distances).  A caller that already holds this exact row
-  // (the batched certifier sharing one warmed base across the ladder's
-  // tiers) passes it via options.base_dist and the search skips the kernel.
-  std::vector<double>& base_dist = scratch.base_dist;
-  if (options.base_dist != nullptr) {
-    GNCG_DASSERT(options.base_dist->size() == static_cast<std::size_t>(n));
-    base_dist = *options.base_dist;
-  } else {
+  // (the ladder sharing one base across its tiers) passes it via
+  // options.base_dist and the search skips the kernel.
+  const std::vector<double>* base_source = options.base_dist;
+  if (base_source == nullptr) {
     const int dial_bound = game.host().dial_weight_bound();
     if (dial_bound > 0) {
-      arena.dial().run_into(base_dist, n, u, dial_bound, environment_edges);
+      arena.dial().run_into(scratch.base_dist, n, u, dial_bound,
+                            environment_edges);
     } else {
-      arena.dijkstra().run_into(base_dist, n, u, environment_edges);
+      arena.dijkstra().run_into(scratch.base_dist, n, u, environment_edges);
     }
+    base_source = &scratch.base_dist;
   }
+  const std::vector<double>& base_dist = *base_source;
+  GNCG_DASSERT(base_dist.size() == static_cast<std::size_t>(n));
 
   // Host-closure row of u: the per-node admissible floor (stable per the
   // host-backend query contract; materialized once per search so the DFS
-  // bound never re-queries implicit backends).  weight_row serves the
-  // canonical edge-sum evaluation the same way.
-  std::vector<double>& host_row = scratch.host_row;
+  // bound never re-queries implicit backends), unless the caller hands it
+  // over.  weight_row serves the canonical edge-sum evaluation the same way.
+  const std::vector<double>* host_source = options.host_row;
+  if (host_source == nullptr) {
+    scratch.host_row.resize(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v)
+      scratch.host_row[static_cast<std::size_t>(v)] = game.host_distance(u, v);
+    host_source = &scratch.host_row;
+  }
+  const std::vector<double>& host_row = *host_source;
+  GNCG_DASSERT(host_row.size() == static_cast<std::size_t>(n));
   std::vector<double>& weight_row = scratch.weight_row;
-  host_row.assign(static_cast<std::size_t>(n), 0.0);
   weight_row.assign(static_cast<std::size_t>(n), kInf);
-  for (int v = 0; v < n; ++v)
-    host_row[static_cast<std::size_t>(v)] = game.host_distance(u, v);
   for (std::size_t i = 0; i < candidates.size(); ++i)
     weight_row[static_cast<std::size_t>(candidates[i])] = weights[i];
   // Global floor: the distance term of the host row itself (O(n); SUM adds
@@ -375,38 +404,51 @@ void run_search(const AgentEnvironment& env,
   if (!done && k > 0) {
     const double base_bound = std::min(result.cost, options.incumbent);
 
-    // Exact mode: one improvement row per candidate, built once from the
-    // base vector.  Every new edge leaves u, so a shortest path uses at
-    // most one of them, first, and the vector of a subset S is exactly
-    // min(base, min over x in S of row_x) -- the stacked repair's least
-    // fixpoint, bit for bit.  Only candidates passing the O(1) global entry
-    // cut get a row: the cut's floor only grows with the DFS weight and the
-    // bound only shrinks, so a candidate failing it at the root is never
-    // inserted at any depth (on the weight-sorted list they form a suffix).
+    // One improvement row per candidate, built once from the base vector
+    // (capped at repair_cap overwrites in bounded mode).  Only candidates
+    // passing the O(1) global entry cut need a row: the cut's floor only
+    // grows with the DFS weight and the bound only shrinks, so a candidate
+    // failing it at the root is never inserted at any depth (on the
+    // weight-sorted list they form a suffix).
     //
-    // The build is its own parallel pass: row i goes to slot i, built on
-    // whichever worker claims it with that worker's IncrementalSssp (no
-    // branch is running yet), so the table is complete and read-only
-    // before the fan-out starts.
-    std::vector<std::vector<std::pair<int, double>>>& rows =
-        arena.br_rows().rows;
-    const bool exact = options.repair_cap == 0;
-    if (exact) {
-      std::size_t row_count = 0;
-      while (row_count < k &&
-             improves(game.alpha() * (0.0 + weights[row_count]) + cheap_floor,
-                      base_bound))
-        ++row_count;
-      if (rows.size() < row_count) rows.resize(row_count);
-      parallel_for(0, row_count, [&](std::size_t i) {
-        IncrementalSssp& builder = worker_arena().incremental_sssp();
-        builder.reset(base_dist);
-        rows[i].clear();
-        builder.append_improvement_row(candidates[i], weights[i],
-                                       environment_edges, rows[i]);
-        GNCG_COUNT(kBrRowBuilds);
-        GNCG_COUNT_N(kBrRowEntries, rows[i].size());
-      });
+    // The build is its own parallel pass, complete and read-only before the
+    // fan-out starts.  A caller that built the rows already (the ladder,
+    // for its whole shortlist) hands them over.
+    std::size_t row_count = 0;
+    while (row_count < k &&
+           improves(game.alpha() * (0.0 + weights[row_count]) + cheap_floor,
+                    base_bound))
+      ++row_count;
+    const ImprovementRows* rows = options.rows;
+    GNCG_DASSERT(rows == nullptr ||
+                 (options.restrict_targets != nullptr &&
+                  *options.restrict_targets == candidates));
+    if (rows == nullptr) {
+      build_improvement_rows(env, candidates, weights, base_dist,
+                             options.repair_cap, row_count,
+                             arena.br_rows().rows);
+      rows = &arena.br_rows().rows;
+    }
+    GNCG_DASSERT(rows->size() >= row_count);
+
+    // Capped rows touch few nodes, so a SUM search brackets its O(n) sums
+    // from per-threshold base sums: every threshold a branch can ask for is
+    // a candidate weight or a row's truncation key (w_next, PF, or their
+    // min), or kInf (the plain sum while PF is kInf).  Exact rows are
+    // O(n)-sized, and exact mode keeps its plain passes.
+    const RowFloor* floors = nullptr;
+    if constexpr (Model::kRowFloors) {
+      if (options.repair_cap > 0) {
+        std::vector<double>& thresholds = scratch.thresholds;
+        thresholds.assign(weights.begin(),
+                          weights.begin() + static_cast<std::ptrdiff_t>(
+                                                row_count));
+        thresholds.insert(thresholds.end(), rows->frontier.begin(),
+                          rows->frontier.begin() +
+                              static_cast<std::ptrdiff_t>(row_count));
+        scratch.floors.build(host_row, base_dist, thresholds);
+        floors = &scratch.floors;
+      }
     }
 
     std::vector<ScratchArena::BrScratch::Outcome>& outcomes =
@@ -430,55 +472,53 @@ void run_search(const AgentEnvironment& env,
             return;
           }
           // Entry cut against the base state (before paying the O(n)
-          // seed copy).
+          // seed copy).  The bracket table's base sums are bitwise the
+          // canonical floors of the base vector.
           const double entry_edge = game.alpha() * (0.0 + weights[i]);
           if (!improves(entry_edge + cheap_floor, base_bound)) {
             GNCG_COUNT(kBrPrunesGlobal);
             return;
           }
-          if (!improves(entry_edge +
-                            Model::tight_floor(host_row, base_dist,
-                                               weights[i]),
-                        base_bound)) {
+          const double entry_floor =
+              floors != nullptr
+                  ? floors->reference_sum(weights[i])
+                  : Model::tight_floor(host_row, base_dist, weights[i]);
+          if (!improves(entry_edge + entry_floor, base_bound)) {
             GNCG_COUNT(kBrPrunesPerNode);
             return;
           }
 
-          ScratchArena& worker = worker_arena();
-          ScratchArena::BrRowScratch& branch_state = worker.br_rows();
-          BranchSearch<Model> search;
-          search.game = &game;
-          search.env = &env;
-          search.candidates = &candidates;
-          search.weights = &weights;
-          search.weight_row = &weight_row;
-          search.host_row = &host_row;
-          search.cheap_floor = cheap_floor;
-          search.base_bound = base_bound;
-          search.incumbent = options.incumbent;
-          search.first_improvement = options.first_improvement;
-          search.branch = static_cast<int>(i);
-          search.repair_cap = options.repair_cap;
-          if (options.first_improvement) search.winner = &winner;
-          search.out = &out;
-          search.current = &branch_state.current;
-          search.current->reset(n);
-          if (exact) {
-            search.rows = &rows;
+          ScratchArena::BrRowScratch& branch_state = worker_arena().br_rows();
+          const auto run_branch = [&](auto& search) {
+            search.game = &game;
+            search.candidates = &candidates;
+            search.weights = &weights;
+            search.weight_row = &weight_row;
+            search.host_row = &host_row;
+            search.cheap_floor = cheap_floor;
+            search.base_bound = base_bound;
+            search.incumbent = options.incumbent;
+            search.first_improvement = options.first_improvement;
+            search.branch = static_cast<int>(i);
+            if (options.first_improvement) search.winner = &winner;
+            search.out = &out;
+            search.current = &branch_state.current;
+            search.current->reset(n);
+            search.rows = rows;
             search.dist = &branch_state.dist;
             search.undo = &branch_state.undo;
+            search.floors = floors;
             *search.dist = base_dist;
             search.undo->clear();
+            search.expand(i);
+          };
+          if (floors != nullptr) {
+            BranchSearch<Model, true> search;
+            run_branch(search);
           } else {
-            search.sssp = &worker.incremental_sssp();
-            search.sssp->reset(base_dist);
+            BranchSearch<Model, false> search;
+            run_branch(search);
           }
-
-          const std::size_t mark = search.checkpoint();
-          search.insert(i);
-          search.evaluate();
-          if (!search.done) search.descend(i + 1);
-          search.remove(i, mark);
 
           if (out.improved && options.first_improvement) {
             int expected = winner.load(std::memory_order_relaxed);
@@ -523,6 +563,29 @@ void run_search(const AgentEnvironment& env,
 }
 
 }  // namespace
+
+void build_improvement_rows(const AgentEnvironment& env,
+                            const std::vector<int>& targets,
+                            const std::vector<double>& weights,
+                            const std::vector<double>& base,
+                            std::size_t repair_cap, std::size_t count,
+                            ImprovementRows& rows) {
+  GNCG_DASSERT(count <= targets.size() && count <= weights.size());
+  rows.resize(count);
+  FrontierPolicy policy;
+  policy.node_cap = repair_cap;
+  parallel_for(0, count, [&](std::size_t i) {
+    IncrementalSssp& builder = worker_arena().incremental_sssp();
+    builder.reset(base);
+    const RepairOutcome outcome = builder.append_improvement_row(
+        targets[i], weights[i], policy,
+        [&](int x, auto&& visit) { env.for_neighbors(x, visit); },
+        rows.entries[i]);
+    if (outcome.truncated) rows.frontier[i] = outcome.frontier_min;
+    GNCG_COUNT(kBrRowBuilds);
+    GNCG_COUNT_N(kBrRowEntries, rows.entries[i].size());
+  });
+}
 
 void br_search_sum(const AgentEnvironment& env,
                    const BestResponseOptions& options,

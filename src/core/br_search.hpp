@@ -7,35 +7,43 @@
 // egalitarian variant) differ only in a cost-model policy -- and it replaces
 // the pay-one-Dijkstra-per-subset search:
 //
-//  * In-DFS distance maintenance: every DFS descent adds one edge (u, c)
-//    incident to the agent, which only *decreases* distances, and one
-//    Dijkstra per search seeds every subset's vector.
-//    - Exact mode (repair_cap == 0) runs on facility rows, the paper's
-//      Theorem 3 reduction to facility location.  Every new edge leaves u,
-//      so a shortest path uses at most one of them, first, and
-//      d_S(t) = min(d_base(t), min over c in S of row_c(t)), where row_c is
-//      the single-insert repair of the base vector by (u, c).  A parallel
-//      pass before the branch fan-out builds each candidate's improvement
-//      row once per search (IncrementalSssp::append_improvement_row; only
-//      for candidates past the O(1) global entry cut, since a candidate
-//      failing it at the root fails it at every depth), and the fan-out
-//      reads the row table read-only.  A branch then keeps its own distance
-//      vector: inserting c min-merges row_c with an undo log, and
-//      backtracking replays the log.  The rows are repairs *from u*, so
-//      their path sums round exactly as in a Dijkstra from u, and the min
-//      over rows is the multi-insert least fixpoint bit for bit.
-//    - Bounded mode (repair_cap > 0, the approximate ladder's tier 2)
-//      keeps stacked IncrementalSssp repairs (capped decrease-only repair
-//      seeded at c, change-log rollback on backtrack): rows truncated from
-//      the base vector would bound differently.
-//    Evaluating a subset costs one O(n) aggregation pass either way.
+//  * In-DFS distance maintenance on facility rows, the paper's Theorem 3
+//    reduction to facility location.  Every new edge leaves u, so a
+//    shortest path uses at most one of them, first, and
+//    d_S(t) = min(d_base(t), min over c in S of row_c(t)), where row_c is
+//    the single-insert repair of the base vector by (u, c).  One Dijkstra
+//    per search seeds the base vector; a parallel pass before the branch
+//    fan-out builds each candidate's improvement row once per search
+//    (build_improvement_rows; only for candidates past the O(1) global
+//    entry cut, since a candidate failing it at the root fails it at every
+//    depth), and the fan-out reads the row table read-only.  A branch keeps
+//    its own distance vector: inserting c min-merges row_c with an undo
+//    log, and backtracking replays the log.  The rows are repairs *from u*,
+//    so their path sums round exactly as in a Dijkstra from u, and the min
+//    over rows is the multi-insert least fixpoint bit for bit.
+//    - Exact mode (repair_cap == 0) builds exact rows and evaluates each
+//      subset with one O(n) aggregation pass.
+//    - Bounded mode (repair_cap > 0, the approximate ladder's tier 2) builds
+//      the same rows under FrontierPolicy{node_cap = repair_cap}.  A
+//      truncated row records its frontier key F_c, the branch carries
+//      PF = min F_c over the rows on its DFS path (saved and restored
+//      around each descend), and a subset with PF < kInf is costed by the
+//      admissible floor sum_t max(d_H(u,t), min(d_S(t), PF)) and reported
+//      `truncated` (graph/improvement_rows.hpp has the invariant).  Under
+//      SUM its evaluations and per-node floors cost O(entries merged):
+//      RowFloor brackets each canonical sum from per-threshold sums over
+//      the base vector plus deltas over the touched nodes, and the O(n)
+//      canonical sum runs only when the bracket straddles the bound
+//      (counted by kBrFullSums).  Decisions, recorded costs and `evaluations` are
+//      therefore exactly those of the canonical sums; a cap that never
+//      fires reproduces exact mode bit for bit.
 //  * Two-level admissible pruning: the global floor cuts first, O(1) per
 //    candidate.  It is the distance term of u's host row, built once per
 //    search in O(n): the in-order row sum for SUM (bitwise equal to
 //    host_distance_sum(u) by the host-backend contract, with no all-pairs
 //    precompute on implicit backends), the host eccentricity for MAX.
-//    Surviving candidates face the tighter O(n) per-node floor
-//        sum/max over t of  max(d_H(u, t), min(d_S(t), w_next)),
+//    Surviving candidates face the tighter per-node floor
+//        sum/max over t of  max(d_H(u, t), min(d_S(t), w_next, PF)),
 //    admissible because every path in a superset graph either avoids the
 //    new edges (length >= current d_S(t)) or starts with one (length >=
 //    w_next, the smallest remaining candidate weight; new edges are all
@@ -87,5 +95,18 @@ BestResponseResult br_search_max(const AgentEnvironment& env,
 void br_search_sum(const AgentEnvironment& env,
                    const BestResponseOptions& options,
                    BestResponseResult& result);
+
+/// Builds rows[0..count) of `rows` from the agent's environment vector
+/// `base`: row i is the single-insert improvement row of the edge
+/// (env.agent(), targets[i]) of weight weights[i], capped at `repair_cap`
+/// distance overwrites (0 = exact), with its truncation key.  A parallel
+/// pass: row i is built on whichever worker claims it, with that worker's
+/// IncrementalSssp, so the calling thread's own IncrementalSssp is free.
+void build_improvement_rows(const AgentEnvironment& env,
+                            const std::vector<int>& targets,
+                            const std::vector<double>& weights,
+                            const std::vector<double>& base,
+                            std::size_t repair_cap, std::size_t count,
+                            ImprovementRows& rows);
 
 }  // namespace gncg

@@ -30,11 +30,13 @@ void StrategyProfile::set_strategy(int u, NodeSet strategy) {
 }
 
 int StrategyProfile::built_edge_count() const {
-  const int n = node_count();
+  // Every built edge is a purchase; an edge both endpoints buy is counted
+  // at its smaller endpoint only.  O(purchases), not O(n^2) pair checks.
   int count = 0;
-  for (int u = 0; u < n; ++u)
-    for (int v = u + 1; v < n; ++v)
-      if (has_edge(u, v)) ++count;
+  for (int u = 0; u < node_count(); ++u)
+    strategy(u).for_each([&](int v) {
+      if (u < v || !buys(v, u)) ++count;
+    });
   return count;
 }
 

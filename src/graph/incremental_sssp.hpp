@@ -2,13 +2,12 @@
 //
 // Adding an edge incident to the source can only *decrease* distances.
 // IncrementalSssp maintains the source's distance vector under such
-// insertions for three users: the approximate-BR ladder's tier-1 greedy
-// and exact re-costs (core/approx_br.cpp), the bounded best-response search
-// (repair_cap > 0), which stacks one repair per DFS descent and rolls it
-// back on backtrack, and the exact search's facility-row builds
-// (append_improvement_row: one single-insert repair per candidate, rolled
-// back at once -- core/br_search.cpp merges the rows instead of stacking
-// repairs).  The operations:
+// insertions for two users: the approximate-BR ladder's tier-1 exact
+// re-costs and commits (core/approx_br.cpp), and the facility-row builds of
+// the best-response search (append_improvement_row: one single-insert
+// repair per candidate, optionally capped, rolled back at once --
+// core/br_search.cpp merges the rows instead of stacking repairs).  The
+// operations:
 //
 //  * `reset(dist)` seeds the structure from a fully computed SSSP vector
 //    (one Dijkstra per search, instead of one per visited subset);
@@ -17,8 +16,8 @@
 //    improves, propagates the decrease with a bounded Dijkstra repair over
 //    `neighbor_fn` -- only nodes whose distance actually shrinks are touched;
 //  * every overwrite is recorded in a change log, so `rollback(checkpoint)`
-//    restores the exact pre-insertion vector on DFS backtrack (bitwise: old
-//    doubles are stored and replayed in reverse).
+//    restores the exact pre-insertion vector (bitwise: old doubles are
+//    stored and replayed in reverse).
 //
 // Exactness: the repair is decrease-only Dijkstra seeded at the improved
 // node.  With non-negative weights and monotone floating-point addition
@@ -31,8 +30,8 @@
 // and the differential fuzz in tests/test_best_response.cpp are the gates).
 //
 // Bounded-frontier mode (PR 9): `relax_insert` optionally takes a
-// FrontierPolicy that truncates the decrease-only propagation (node cap
-// and/or admissible radius).  A truncated repair leaves the maintained
+// FrontierPolicy that truncates the decrease-only propagation after a cap
+// on distance overwrites.  A truncated repair leaves the maintained
 // vector a per-node *upper* bound on the true fixpoint (every stored value
 // is still the rounded length of a real path) and reports the minimum heap
 // key F left unexplored.  The truncation invariant callers build floors on:
@@ -65,13 +64,8 @@ struct FrontierPolicy {
   /// time, so a repair performs at most node_cap + one adjacency list of
   /// relaxations.
   std::size_t node_cap = 0;
-  /// Admissible radius: the repair stops once the cheapest unexplored heap
-  /// key exceeds it (improvements past the radius are cut).  Derive it from
-  /// the inserted edge's weight plus a locality bound (e.g. the spatial
-  /// oracle's ring lower bound); kInf = unbounded.
-  double radius = kInf;
 
-  bool bounded() const { return node_cap > 0 || radius < kInf; }
+  bool bounded() const { return node_cap > 0; }
 };
 
 /// Outcome of one (possibly bounded) relax_insert.
@@ -112,8 +106,8 @@ class IncrementalSssp {
   }
 
   /// Bounded-frontier variant: the repair additionally honors `policy`,
-  /// truncating the propagation once the node cap or the admissible radius
-  /// is hit (see the file comment for the floor invariant).  With an
+  /// truncating the propagation once the node cap is hit (see the file
+  /// comment for the floor invariant).  With an
   /// unbounded policy this is exactly relax_insert (same instruction
   /// sequence, outcome never truncated).
   template <class NeighborFn>
@@ -129,16 +123,21 @@ class IncrementalSssp {
   void rollback(Checkpoint mark);
 
   /// Single-insert improvement row: appends to `row` every node t that
-  /// relax_insert(v, cand, neighbor_fn) lowers, once each, with its repaired
-  /// distance, then rolls the vector back.  Rows of several candidates are
-  /// therefore all repairs of the same vector, and because every inserted
-  /// edge leaves the source, the vector after inserting a set S is exactly
-  /// the elementwise min of the current vector and the rows of S.
+  /// relax_insert(v, cand, policy, neighbor_fn) lowers, once each, with its
+  /// repaired distance, then rolls the vector back and returns the repair's
+  /// outcome.  Rows of several candidates are therefore all repairs of the
+  /// same vector.  Every inserted edge leaves the source, so with an
+  /// unbounded policy the vector after inserting a set S is exactly the
+  /// elementwise min of the current vector and the rows of S.  A row cut by
+  /// the policy (outcome.truncated) keeps the truncation invariant instead:
+  /// the true single-insert distance of every node y is
+  /// >= min(min(current(y), row(y)), outcome.frontier_min).
   template <class NeighborFn>
-  void append_improvement_row(int v, double cand, NeighborFn&& neighbor_fn,
-                              std::vector<std::pair<int, double>>& row) {
+  RepairOutcome append_improvement_row(
+      int v, double cand, const FrontierPolicy& policy,
+      NeighborFn&& neighbor_fn, std::vector<std::pair<int, double>>& row) {
     const Checkpoint mark = checkpoint();
-    relax_insert_impl<false>(v, cand, FrontierPolicy{}, neighbor_fn);
+    const RepairOutcome outcome = relax_insert(v, cand, policy, neighbor_fn);
     // A node lowered twice is logged twice: emit it at its oldest entry with
     // its final distance and mark it with a negative distance (distances
     // are >= 0), which the rollback below overwrites like any other entry.
@@ -150,6 +149,7 @@ class IncrementalSssp {
       d = -1.0;
     }
     rollback(mark);
+    return outcome;
   }
 
   std::size_t footprint_bytes() const {
@@ -161,8 +161,8 @@ class IncrementalSssp {
  private:
   /// Shared repair body.  `Bounded` is a compile-time switch so the exact
   /// path carries no policy checks (identical machine code to the
-  /// pre-bounded kernel).  The cap/radius tests run at pop time against the
-  /// heap minimum, so `frontier_min` is exactly the cheapest improvement
+  /// pre-bounded kernel).  The cap test runs at pop time against the heap
+  /// minimum, so `frontier_min` is exactly the cheapest improvement
   /// left unexplored and the relaxation count overshoots the cap by at most
   /// one adjacency list.
   template <bool Bounded, class NeighborFn>
@@ -183,13 +183,11 @@ class IncrementalSssp {
     push(cand, v);
     while (!heap_.empty()) {
       if constexpr (Bounded) {
-        // heap_[0] is the min entry (std::push_heap with greater<>).  A
-        // stale minimum only lowers frontier_min, which stays admissible.
-        const double top = heap_[0].first;
-        if (top > policy.radius ||
-            (policy.node_cap > 0 && writes >= policy.node_cap)) {
+        if (writes >= policy.node_cap) {
+          // heap_[0] is the min entry (std::push_heap with greater<>).  A
+          // stale minimum only lowers frontier_min, which stays admissible.
           outcome.truncated = true;
-          outcome.frontier_min = top;
+          outcome.frontier_min = heap_[0].first;
           heap_.clear();
           GNCG_COUNT(kSsspBoundedTruncations);
           break;
@@ -235,7 +233,7 @@ class IncrementalSssp {
   std::size_t heap_peak_ = 0;
   /// Decaying need estimates driving reset()'s shrink policy: the estimate
   /// only halves per reset, so a workload alternating small and large
-  /// searches (the ladder's tier-1 probes vs tier-2 branch floods) keeps
+  /// searches (capped facility-row builds vs exact ones) keeps
   /// its capacity instead of shrink-then-regrowing every other reset.
   std::size_t log_need_ = 0;
   std::size_t heap_need_ = 0;

@@ -23,9 +23,10 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += (br_.weights.capacity() + br_.base_dist.capacity() +
             br_.host_row.capacity() + br_.weight_row.capacity()) *
            sizeof(double);
+  total += br_.thresholds.capacity() * sizeof(double);
+  total += br_.floors.footprint_bytes();
   total += br_.outcomes.capacity() * sizeof(BrScratch::Outcome);
-  for (const auto& row : br_rows_.rows)
-    total += row.capacity() * sizeof(std::pair<int, double>);
+  total += br_rows_.rows.footprint_bytes();
   total += br_rows_.undo.capacity() * sizeof(std::pair<int, double>);
   total += br_rows_.dist.capacity() * sizeof(double);
   total += ladder_.cand.capacity() * sizeof(int);
@@ -33,8 +34,13 @@ std::size_t ScratchArena::footprint_bytes() const {
             ladder_.host_row.capacity() + ladder_.weight_row.capacity()) *
            sizeof(double);
   total += ladder_.in_cand.capacity() * sizeof(char);
+  total += ladder_.rows.footprint_bytes();
   total += ladder_.sssp.footprint_bytes();
+  total += ladder_.thresholds.capacity() * sizeof(double);
+  total += ladder_.floors.footprint_bytes();
   total += ladder_.probe_rank.capacity() * sizeof(std::pair<double, int>);
+  total += ladder_.commits.capacity() *
+           sizeof(std::pair<std::size_t, std::size_t>);
   return total;
 }
 

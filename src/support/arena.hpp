@@ -7,9 +7,8 @@
 // of that per-thread state into one object:
 //
 //   * the binary-heap and bucket-queue Dijkstra workspaces,
-//   * the IncrementalSssp instance that builds exact best-response rows and
-//     that bounded best-response branches repair,
-//   * the exact best-response facility rows and branch min-merge state,
+//   * the IncrementalSssp instance that builds best-response facility rows,
+//   * the best-response facility rows and branch min-merge state,
 //   * the deviation engine's scan scratch (owned-target list, side marks,
 //     DFS stack, distance-sum vector, host-weight row, addition-sum memo)
 //     and its row-repair scratch,
@@ -27,9 +26,9 @@
 // owning thread ever touches it.  Code holding one arena reference must not
 // hand it to another thread, and nested users of the same thread must use
 // disjoint members (the engine's scan path uses scan buffers + a Dijkstra
-// workspace; best-response branches use the row partition's branch half or
-// the IncrementalSssp -- the members are partitioned so no hot path aliases
-// another's buffer).
+// workspace; best-response branches use the row partition's branch half and
+// row builds the IncrementalSssp -- the members are partitioned so no hot
+// path aliases another's buffer).
 #pragma once
 
 #include <cstddef>
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "graph/dijkstra.hpp"
+#include "graph/improvement_rows.hpp"
 #include "graph/incremental_sssp.hpp"
 #include "support/node_set.hpp"
 
@@ -99,6 +99,8 @@ class ScratchArena {
     std::vector<double> base_dist;              ///< SSSP from the empty set
     std::vector<double> host_row;               ///< host distances from u
     std::vector<double> weight_row;             ///< buy weights from u
+    std::vector<double> thresholds;  ///< bounded-mode floor thresholds
+    RowFloor floors;                 ///< bounded-mode canonical-sum brackets
     /// Result of one first-level branch.  Slot i is written only by branch
     /// i's task and read by the driver's fold after the fan-out joins.  The
     /// vector never shrinks, so slot strategies keep their storage.
@@ -113,7 +115,7 @@ class ScratchArena {
   };
   BrScratch& br() { return br_; }
 
-  // --- exact best-response facility rows (core/br_search.cpp) ---
+  // --- best-response facility rows (core/br_search.cpp) ---
   //
   // Disjoint from BrScratch and the IncrementalSssp.  Two owners: the
   // driver's row table, filled by a parallel build pass (slot i written
@@ -122,11 +124,10 @@ class ScratchArena {
   // running on this thread.
 
   struct BrRowScratch {
-    /// Row table: rows[i] holds (node, single-insert distance) for every
-    /// node the edge (u, candidate i) lowers.  One vector per candidate so
-    /// rows build in parallel; the table never shrinks, so every slot keeps
-    /// its storage across searches.
-    std::vector<std::vector<std::pair<int, double>>> rows;
+    /// Row table: one single-insert improvement row per candidate, built in
+    /// parallel; the table never shrinks, so every slot keeps its storage
+    /// across searches.
+    ImprovementRows rows;
     // Branch half.
     std::vector<double> dist;                  ///< min-merged distances
     std::vector<std::pair<int, double>> undo;  ///< (node, overwritten value)
@@ -148,10 +149,14 @@ class ScratchArena {
     std::vector<double> host_row;   ///< host distances from u
     std::vector<double> weight_row; ///< buy weights by node id
     std::vector<char> in_cand;      ///< candidate membership by node id
-    IncrementalSssp sssp;           ///< tier-1 greedy repair state
-    /// Bounded tier-1 probe ranking: (lower-bound estimate, candidate index)
-    /// pairs sorted ascending before full-repair commits.
+    ImprovementRows rows;           ///< one row per shortlist candidate
+    IncrementalSssp sssp;           ///< tier-1 greedy's exact vector
+    std::vector<double> thresholds; ///< tier-1 floor thresholds per round
+    RowFloor floors;                ///< tier-1 probe brackets per round
+    /// Tier-1 probe ranking: (padded floor, candidate index) pairs.
     std::vector<std::pair<double, int>> probe_rank;
+    /// Tier-1 commits: (change-log mark after the commit, candidate index).
+    std::vector<std::pair<std::size_t, std::size_t>> commits;
   };
   LadderScratch& ladder() { return ladder_; }
 

@@ -67,6 +67,7 @@ const char* counter_name(Counter counter) {
     case Counter::kBrMergeWrites: return "br_merge_writes";
     case Counter::kEngineScanSums: return "engine_scan_sums";
     case Counter::kEngineScanFloorPrunes: return "engine_scan_floor_prunes";
+    case Counter::kBrFullSums: return "br_full_sums";
     case Counter::kCount: break;
   }
   return "unknown";

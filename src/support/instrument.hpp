@@ -111,7 +111,8 @@ enum class Counter : int {
   // bounded counters stay 0 on every exact path (FrontierPolicy absent).
   kSsspBoundedRepairs,     ///< relax_insert calls run under a frontier policy
   kSsspBoundedTruncations, ///< bounded repairs cut short (estimate, not exact)
-  kLadderBoundedProbes,    ///< tier-1 probes settled on a truncated estimate
+  kLadderBoundedProbes,    ///< never incremented (tier-1 probes are row
+                           ///< floors now); kept for counter-id stability
   kLadderBatchCalls,       ///< certify_agents batch invocations
   kLadderBatchAgents,      ///< agents certified through certify_agents
 
@@ -129,10 +130,10 @@ enum class Counter : int {
   kEngineRowRepairs,         ///< stale rows repaired from the edit log
   kEngineRepairRelaxations,  ///< distance decreases during row repairs
 
-  // Exact best response on facility rows (core/br_search.cpp): one
-  // single-insert improvement row per candidate that passes the global
-  // entry cut, then a min-merge per DFS insert.  The bounded search
-  // (repair_cap > 0) keeps the stacked repairs and bumps none of these.
+  // Best response on facility rows (core/br_search.cpp): one single-insert
+  // improvement row per candidate that passes the global entry cut (capped
+  // in bounded mode; the ladder builds one row per shortlist candidate),
+  // then a min-merge per DFS insert.
   kBrRowBuilds,   ///< candidate improvement rows built
   kBrRowEntries,  ///< (node, distance) entries across built rows
   kBrMergeWrites, ///< distances lowered by row min-merges (undo entries)
@@ -143,6 +144,12 @@ enum class Counter : int {
   // per scan.
   kEngineScanSums,         ///< O(n) addition / bridge sums computed
   kEngineScanFloorPrunes,  ///< candidates skipped by the O(1) floor
+
+  // Bounded best-response search (core/br_search.cpp, repair_cap > 0, SUM):
+  // canonical O(n) sums its RowFloor brackets could not settle.  Exact mode
+  // takes one plain pass per evaluation and per-node floor and does not
+  // count them here, so exact-mode counters are unchanged.
+  kBrFullSums,  ///< canonical O(n) evaluation and floor sums taken
 
   kCount
 };

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -307,13 +309,11 @@ TEST(ApproxLadder, BoundedRepairsKeepCertificatesSound) {
   }
 }
 
-TEST(ApproxLadder, AdaptiveRadiusAloneKeepsCertificatesSound) {
-  // Make the candidate-weight-derived radius the *only* live truncation
-  // criterion (huge write cap): estimates may coarsen, but achieved costs
-  // stay canonical, bounds stay admissible, and exactness stays truthful.
-  // With the radius disabled the same huge cap never fires, which must
-  // reproduce the unbounded ladder bit for bit (the never-truncates
-  // identity of the bounded kernel).
+TEST(ApproxLadder, NeverFiringCapIsBitwiseIdentity) {
+  // A cap that never fires builds every facility row exactly, so the
+  // bounded ladder must reproduce the cap-0 ladder bit for bit (the
+  // never-truncates identity of the bounded kernel), and its achieved cost
+  // stays a canonical cost with an admissible lower bound.
   Rng rng(137);
   for (int trial = 0; trial < 12; ++trial) {
     const int n = 6 + (trial % 5);
@@ -329,28 +329,19 @@ TEST(ApproxLadder, AdaptiveRadiusAloneKeepsCertificatesSound) {
       const double exact_cost = env.cost_of(naive.strategy);
       const double scale = std::max(1.0, std::abs(exact_cost));
 
-      ApproxBrOptions radius_only;
-      radius_only.budget = 4;
-      radius_only.repair_cap = 1u << 20;  // backstop cap that never fires
-      radius_only.repair_radius_scale = 1.5;  // tight: truncates often
-      radius_only.incumbent = engine.agent_cost(u);
-      radius_only.current_dist = &engine.distances_warm(u);
-      const auto bounded = approx_best_response_ladder(engine, u,
-                                                       radius_only);
-      EXPECT_EQ(bounded.cost, env.cost_of(bounded.strategy))
-          << "trial " << trial << " agent " << u;
-      EXPECT_GE(bounded.cost, exact_cost - 1e-12 * scale);
-      EXPECT_LE(bounded.lower_bound, exact_cost + 1e-12 * scale)
-          << "trial " << trial << " agent " << u;
-      EXPECT_LE(bounded.lower_bound, bounded.cost + 1e-12 * scale);
-
-      ApproxBrOptions no_radius = radius_only;
-      no_radius.repair_radius_scale = 0.0;  // nothing can truncate
-      ApproxBrOptions unbounded = radius_only;
+      ApproxBrOptions never_fires;
+      never_fires.budget = 4;
+      never_fires.repair_cap = 1u << 20;
+      never_fires.incumbent = engine.agent_cost(u);
+      never_fires.current_dist = &engine.distances_warm(u);
+      ApproxBrOptions unbounded = never_fires;
       unbounded.repair_cap = 0;
-      unbounded.repair_radius_scale = 0.0;
-      const auto a = approx_best_response_ladder(engine, u, no_radius);
+      const auto a = approx_best_response_ladder(engine, u, never_fires);
       const auto b = approx_best_response_ladder(engine, u, unbounded);
+      EXPECT_EQ(a.cost, env.cost_of(a.strategy))
+          << "trial " << trial << " agent " << u;
+      EXPECT_LE(a.lower_bound, exact_cost + 1e-12 * scale)
+          << "trial " << trial << " agent " << u;
       EXPECT_TRUE(a.strategy == b.strategy)
           << "trial " << trial << " agent " << u;
       EXPECT_EQ(a.cost, b.cost);
@@ -360,29 +351,109 @@ TEST(ApproxLadder, AdaptiveRadiusAloneKeepsCertificatesSound) {
   }
 }
 
+/// One ladder result of the cap-0 golden table: strategy members, the IEEE
+/// bits of cost and lower bound, tier and exactness.
+struct GoldenLadderRow {
+  std::uint64_t seed;
+  int agent;
+  std::vector<int> strategy;
+  std::uint64_t cost_bits;
+  std::uint64_t lower_bound_bits;
+  int tier;
+  bool exact;
+};
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
 TEST(ApproxLadder, RepairCapZeroIsBitwiseIdentity) {
-  // repair_cap = 0 (and no current-network rows) must reproduce the
-  // historical ladder bit for bit -- same strategy, cost, certificates.
-  Rng rng(131);
-  const int n = 14;
-  const Game game = random_euclidean_game(n, 1.2, 2.0, rng);
-  StrategyProfile profile = random_profile(game, rng);
-  force_mutual_buys(game, profile, n / 3, rng);
-  DeviationEngine engine(game, profile);
-  for (int u = 0; u < n; ++u) {
-    ApproxBrOptions defaults;
-    defaults.budget = 5;
-    defaults.incumbent = engine.agent_cost(u);
-    ApproxBrOptions cap0 = defaults;
-    cap0.repair_cap = 0;
-    const auto a = approx_best_response_ladder(engine, u, defaults);
-    const auto b = approx_best_response_ladder(engine, u, cap0);
-    EXPECT_TRUE(a.strategy == b.strategy) << "agent " << u;
-    EXPECT_EQ(a.cost, b.cost);
-    EXPECT_EQ(a.lower_bound, b.lower_bound);
-    EXPECT_EQ(a.tier, b.tier);
-    EXPECT_EQ(a.exact, b.exact);
+  // The cap-0 ladder must reproduce, bit for bit, a table recorded from the
+  // ladder before facility rows replaced its tier-1 probes and stacked
+  // repairs: 3 games x every agent, covering tier-1 and tier-2 finals,
+  // certified-exact and uncertified results, agents with and without the
+  // current-network row, and shortlists from 4 candidates to full coverage.
+  static const std::vector<GoldenLadderRow> kGolden = {
+    {211, 0, {7, 13}, 0x409065eecf6c8d40ULL, 0x409065eecf6c8d40ULL, 2, true},
+    {211, 1, {10}, 0x408b6b03934fb8fbULL, 0x4087ae2ea212d54aULL, 2, false},
+    {211, 2, {9}, 0x40913c6650fb00e4ULL, 0x408b0f74f378705fULL, 2, false},
+    {211, 3, {}, 0x408a841d2146f7e7ULL, 0x408a841d2146f7e7ULL, 2, true},
+    {211, 4, {7, 8}, 0x4087d7abdc8d54a5ULL, 0x4081f4afa5e0d7b3ULL, 2, false},
+    {211, 5, {1, 7}, 0x40908c029c5c8bd7ULL, 0x408c6e3f0184601cULL, 2, false},
+    {211, 6, {1, 8, 10}, 0x4093059c53c6ad67ULL, 0x4093059c53c6ad67ULL, 2, true},
+    {211, 7, {4, 5, 8}, 0x408b3f1401c21e98ULL, 0x40833de9a234297cULL, 2, false},
+    {211, 8, {4, 7}, 0x4087a2334fb83fb7ULL, 0x4081a59cc628e925ULL, 2, false},
+    {211, 9, {3}, 0x408ae92c20fdbb47ULL, 0x408ae92c20fdbb47ULL, 2, true},
+    {211, 10, {1, 2}, 0x4091d43a1b01ae8dULL, 0x408b5a00501b4f8eULL, 2, false},
+    {211, 11, {5}, 0x409044301ceb4d38ULL, 0x408e3669ddd13a1cULL, 2, false},
+    {211, 12, {3, 4}, 0x40889b5884ca8f7fULL, 0x40889b5884ca8f7fULL, 2, true},
+    {211, 13, {0, 4, 12}, 0x408d77419ef57b92ULL, 0x40865a76cdd7028dULL, 2, false},
+    {223, 0, {7, 9, 12}, 0x408dd8a042062f20ULL, 0x408dd8a042062f20ULL, 2, true},
+    {223, 1, {5, 11}, 0x408cdff03742eef1ULL, 0x408bcca95559dcbdULL, 2, false},
+    {223, 2, {1, 5, 11}, 0x4091b9fcc113808eULL, 0x408cf6f908e86522ULL, 2, false},
+    {223, 3, {1, 4, 11}, 0x4090eb8d4aee3588ULL, 0x4090eb8d4aee3588ULL, 2, true},
+    {223, 4, {3, 13}, 0x4090c607652798ddULL, 0x4089a81bee088fe9ULL, 2, false},
+    {223, 5, {1, 11}, 0x408e050d150288e0ULL, 0x408b5114b929ba04ULL, 2, false},
+    {223, 6, {7}, 0x4091a99d327bb22fULL, 0x4091a99d327bb22fULL, 2, true},
+    {223, 7, {0, 6, 9}, 0x40928fefd509d558ULL, 0x408b2655160fec0aULL, 2, false},
+    {223, 8, {10, 12}, 0x408953265d892068ULL, 0x408859ec72734e76ULL, 2, false},
+    {223, 9, {0, 8, 12}, 0x408c01e8059e7a64ULL, 0x408c01e8059e7a64ULL, 2, true},
+    {223, 10, {2, 8, 12}, 0x408da7c0108b260dULL, 0x408b0fb9f56db0a6ULL, 2, false},
+    {223, 11, {1, 3, 8}, 0x408fa4a4e95f270bULL, 0x40842b3091716a9eULL, 2, false},
+    {223, 12, {0, 2, 9, 11}, 0x408d4471c748c7e8ULL, 0x408d4471c748c7e8ULL, 2, true},
+    {223, 13, {3, 11}, 0x408f26ca2cf66debULL, 0x4086eb72497be1cbULL, 2, false},
+    {227, 0, {}, 0x4099aa3238c957f6ULL, 0x4099aa3238c957f6ULL, 1, true},
+    {227, 1, {}, 0x40940745cbc2d609ULL, 0x40940745cbc2d609ULL, 1, true},
+    {227, 2, {1}, 0x40a6546fee85db6aULL, 0x40a6546fee85db6aULL, 2, true},
+    {227, 3, {8}, 0x40a56a1c281735c6ULL, 0x40a56a1c281735c6ULL, 2, true},
+    {227, 4, {5}, 0x40a118ae20f211c3ULL, 0x40a118ae20f211c3ULL, 2, true},
+    {227, 5, {4}, 0x409c1d93d4cda22aULL, 0x409c1d93d4cda22aULL, 2, true},
+    {227, 6, {12}, 0x409cfcccde39d991ULL, 0x409cfcccde39d991ULL, 2, true},
+    {227, 7, {9}, 0x409842aeba6aa408ULL, 0x409842aeba6aa408ULL, 2, true},
+    {227, 8, {3}, 0x40a2b56791d1ff97ULL, 0x40a2b56791d1ff97ULL, 2, true},
+    {227, 9, {7}, 0x4096e7e418472009ULL, 0x4096e7e418472009ULL, 2, true},
+    {227, 10, {9}, 0x40a9ac34f9b2a5f4ULL, 0x40a826f54259f140ULL, 2, false},
+    {227, 11, {3}, 0x40ad39bd48bfa8bcULL, 0x40ad39bd48bfa8bcULL, 2, true},
+    {227, 12, {6}, 0x4098d2f496387b19ULL, 0x4098d2f496387b19ULL, 2, true},
+    {227, 13, {0}, 0x40a50fad7349f96cULL, 0x40a50fad7349f96cULL, 2, true},
+  };
+  std::size_t next = 0;
+  for (const std::uint64_t seed : {211u, 223u, 227u}) {
+    Rng rng(seed);
+    const int n = 14;
+    const double alpha = seed == 227u ? 60.0 : rng.uniform_real(0.5, 4.0);
+    const Game game = random_euclidean_game(n, alpha, 2.0, rng);
+    StrategyProfile profile = seed == 227u ? recursive_tree_profile(game, rng)
+                                           : random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 3, rng);
+    DeviationEngine engine(game, profile);
+    engine.warm_distances();
+    for (int u = 0; u < n; ++u) {
+      ASSERT_LT(next, kGolden.size());
+      const GoldenLadderRow& expect = kGolden[next++];
+      ASSERT_EQ(expect.seed, seed);
+      ASSERT_EQ(expect.agent, u);
+      ApproxBrOptions options;
+      options.budget = (u % 3 == 0) ? n - 1 : 4 + u % 3;
+      options.repair_cap = 0;
+      options.incumbent = engine.agent_cost(u);
+      if (u % 2 == 0) options.current_dist = &engine.distances_warm(u);
+      const auto ladder = approx_best_response_ladder(engine, u, options);
+      std::vector<int> members;
+      ladder.strategy.for_each([&](int v) { members.push_back(v); });
+      EXPECT_EQ(members, expect.strategy) << "seed " << seed << " agent " << u;
+      EXPECT_EQ(bits_of(ladder.cost), expect.cost_bits)
+          << "seed " << seed << " agent " << u;
+      EXPECT_EQ(bits_of(ladder.lower_bound), expect.lower_bound_bits)
+          << "seed " << seed << " agent " << u;
+      EXPECT_EQ(ladder.tier, expect.tier) << "seed " << seed << " agent " << u;
+      EXPECT_EQ(ladder.exact, expect.exact)
+          << "seed " << seed << " agent " << u;
+    }
   }
+  EXPECT_EQ(next, kGolden.size());
 }
 
 TEST(ApproxLadder, CertifyAgentsMatchesPerAgentWarmLadder) {

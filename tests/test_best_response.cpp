@@ -13,9 +13,11 @@
 #include <vector>
 
 #include "core/best_response.hpp"
+#include "core/br_search.hpp"
 #include "core/deviation_engine.hpp"
 #include "core/dynamics.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/improvement_rows.hpp"
 #include "graph/distance_matrix.hpp"
 #include "graph/incremental_sssp.hpp"
 #include "metric/host_graph.hpp"
@@ -496,7 +498,8 @@ TEST(BrSearchRows, MinMergeOfSingleInsertRowsIsTheMultiInsertFixpoint) {
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         builder.append_improvement_row(candidates[i],
                                        game.weight(u, candidates[i]),
-                                       environment_edges, rows[i]);
+                                       FrontierPolicy{}, environment_edges,
+                                       rows[i]);
         ASSERT_TRUE(same_bits(builder.dist(), base))
             << "row build must leave the vector at base";
         std::vector<char> seen(static_cast<std::size_t>(n), 0);
@@ -592,6 +595,184 @@ TEST(BrSearchRows, ParallelRowBuildIsThreadCountInvariant) {
               pooled_searches);
   }
   set_default_thread_count(0);
+}
+
+TEST(BrSearchRows, TruncatedMergeFloorIsAdmissible) {
+  // Rows capped at 1-4 overwrites truncate constantly at these sizes.  For
+  // random subsets S, the RowFloor brackets of the merged vector -- at the
+  // path frontier PF, what the bounded search records on (from the touched
+  // nodes and from the folded writes), and at min(PF, w), what it prunes on
+  // -- must bracket the canonical in-order floor sum, and the PF bracket
+  // must stay at or below the canonical cost from a fresh Dijkstra over
+  // environment + S.  The bounded search's reported optimum must likewise
+  // stay at or below the exact restricted optimum.
+  Rng rng(251);
+  std::uint64_t truncated_subsets = 0;
+  std::uint64_t exact_subsets = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const int n = 10 + trial % 11;
+    const Game game(
+        HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0),
+        rng.uniform_real(0.5, 4.0));
+    StrategyProfile profile = random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 3, rng);
+    const std::size_t cap = 1 + static_cast<std::size_t>(trial % 4);
+    DeviationEngine engine(game, profile);
+    for (int u = 0; u < n; ++u) {
+      const AgentEnvironment env(engine, u);
+      std::vector<double> base;
+      dijkstra_over(
+          n, u, [&](int x, auto&& visit) { env.for_neighbors(x, visit); },
+          base);
+      std::vector<double> host(static_cast<std::size_t>(n));
+      for (int v = 0; v < n; ++v)
+        host[static_cast<std::size_t>(v)] = game.host_distance(u, v);
+      std::vector<int> candidates;
+      std::vector<double> weights;
+      for (int v = 0; v < n; ++v)
+        if (game.can_buy(u, v)) {
+          candidates.push_back(v);
+          weights.push_back(game.weight(u, v));
+        }
+      ImprovementRows rows;
+      build_improvement_rows(env, candidates, weights, base, cap,
+                             candidates.size(), rows);
+      std::vector<double> thresholds = weights;
+      thresholds.insert(thresholds.end(), rows.frontier.begin(),
+                        rows.frontier.end());
+      RowFloor floors;
+      floors.build(host, base, thresholds);
+
+      for (int draw = 0; draw < 8; ++draw) {
+        std::vector<std::size_t> chosen;
+        double frontier = kInf;
+        NodeSet bought(n);
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          if (!rng.bernoulli(0.3)) continue;
+          chosen.push_back(i);
+          bought.insert(candidates[i]);
+          frontier = std::min(frontier, rows.frontier[i]);
+        }
+        // Merge as the search does, folding every logged write into the
+        // evaluation delta at the subset's frontier.
+        std::vector<double> merged = base;
+        std::vector<std::pair<int, double>> undo;
+        double write_delta = 0.0;
+        for (std::size_t i : chosen)
+          for (const auto& [t, d] : rows.entries[i]) {
+            const auto ti = static_cast<std::size_t>(t);
+            double& slot = merged[ti];
+            if (d < slot) {
+              write_delta += RowFloor::term(host[ti], d, frontier) -
+                             RowFloor::term(host[ti], slot, frontier);
+              undo.emplace_back(t, slot);
+              slot = d;
+            }
+          }
+        (frontier < kInf ? truncated_subsets : exact_subsets) +=
+            undo.empty() ? 0 : 1;
+
+        std::vector<double> fresh;
+        dijkstra_over(
+            n, u,
+            [&](int x, auto&& visit) {
+              env.for_neighbors(x, visit);
+              if (x == u) {
+                bought.for_each([&](int v) { visit(v, game.weight(u, v)); });
+              } else if (bought.contains(x)) {
+                visit(u, game.weight(u, x));
+              }
+            },
+            fresh);
+        double fresh_sum = 0.0;
+        for (double d : fresh) fresh_sum += d;
+
+        // Every threshold the search asks for at this node: PF for the
+        // evaluation, min(PF, w_next) for the per-node floors.
+        std::vector<double> asked{frontier};
+        for (double w : weights) asked.push_back(std::min(w, frontier));
+        for (double theta : asked) {
+          double canonical = 0.0;
+          for (std::size_t t = 0; t < merged.size(); ++t)
+            canonical += RowFloor::term(host[t], merged[t], theta);
+          const RowFloor::Interval bracket =
+              floors.merged(theta, merged, undo);
+          EXPECT_LE(bracket.lo, canonical)
+              << "trial " << trial << " agent " << u << " theta " << theta;
+          EXPECT_GE(bracket.hi, canonical)
+              << "trial " << trial << " agent " << u << " theta " << theta;
+          if (theta == frontier) {
+            const RowFloor::Interval folded =
+                floors.bracket(theta, write_delta, undo.size());
+            EXPECT_LE(folded.lo, canonical)
+                << "trial " << trial << " agent " << u;
+            EXPECT_GE(folded.hi, canonical)
+                << "trial " << trial << " agent " << u;
+            EXPECT_LE(bracket.lo, fresh_sum)
+                << "trial " << trial << " agent " << u;
+            double edge_sum = 0.0;
+            bought.for_each([&](int v) { edge_sum += game.weight(u, v); });
+            EXPECT_LE(game.alpha() * edge_sum + bracket.lo,
+                      env.cost_of(bought))
+                << "trial " << trial << " agent " << u;
+          }
+        }
+      }
+
+      BestResponseOptions exact;
+      exact.restrict_targets = &candidates;
+      BestResponseOptions bounded = exact;
+      bounded.repair_cap = cap;
+      const auto reference = exact_best_response(engine, u, exact);
+      const auto capped = exact_best_response(engine, u, bounded);
+      EXPECT_LE(capped.cost,
+                reference.cost + 1e-12 * std::max(1.0, reference.cost))
+          << "trial " << trial << " agent " << u;
+      if (!capped.truncated) {
+        EXPECT_EQ(capped.cost, env.cost_of(capped.strategy))
+            << "trial " << trial << " agent " << u;
+      }
+    }
+  }
+  // Both kinds of merged vector occurred: the slack check needs exact
+  // merges (estimate and canonical sum equal up to rounding), the frontier
+  // check truncated ones.
+  EXPECT_GT(truncated_subsets, 100u);
+  EXPECT_GT(exact_subsets, 100u);
+}
+
+TEST(BrSearchRows, NeverFiringCapEqualsExactMode) {
+  // A cap that never fires builds every row exactly, so the bounded search
+  // -- which brackets its sums with RowFloor and takes a canonical pass only
+  // when the bracket straddles the bound -- must return exact mode's
+  // strategy, cost bits and evaluation count on every backend, for full
+  // searches and for certification bounds alike.
+  Rng rng(257);
+  for (int trial = 0; trial < 36; ++trial) {
+    const int n = 8 + trial % 7;
+    const Game game =
+        random_backend_game(n, rng.uniform_real(0.3, 4.0), trial, rng);
+    StrategyProfile profile = random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 3, rng);
+    DeviationEngine engine(game, profile);
+    for (int u = 0; u < n; ++u) {
+      BestResponseOptions exact;
+      if (trial % 2 == 1) exact.incumbent = engine.agent_cost(u);
+      BestResponseOptions bounded = exact;
+      bounded.repair_cap = std::size_t{1} << 20;
+      const auto a = exact_best_response(engine, u, exact);
+      const auto b = exact_best_response(engine, u, bounded);
+      EXPECT_TRUE(a.strategy == b.strategy)
+          << "trial " << trial << " agent " << u;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cost),
+                std::bit_cast<std::uint64_t>(b.cost))
+          << "trial " << trial << " agent " << u;
+      EXPECT_EQ(a.evaluations, b.evaluations)
+          << "trial " << trial << " agent " << u;
+      EXPECT_EQ(a.improved, b.improved);
+      EXPECT_FALSE(b.truncated);
+    }
+  }
 }
 
 // --- AgentEnvironment borrow mode (double-ownership masking) --------------

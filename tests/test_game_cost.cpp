@@ -5,6 +5,7 @@
 #include "core/cost.hpp"
 #include "core/game.hpp"
 #include "graph/graph_algos.hpp"
+#include "support/rng.hpp"
 
 namespace gncg {
 namespace {
@@ -48,6 +49,28 @@ TEST(StrategyProfileTest, BuyAndEdgeSemantics) {
   EXPECT_EQ(profile.built_edge_count(), 1);
   profile.remove_buy(0, 1);
   EXPECT_TRUE(profile.has_edge(0, 1));  // the other owner remains
+}
+
+TEST(StrategyProfileTest, BuiltEdgeCountMatchesPairwiseDefinition) {
+  Rng rng(19);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int n = 2 + trial;
+    StrategyProfile profile(n);
+    for (int j = 0; j < 3 * n; ++j) {
+      const int a = static_cast<int>(rng.uniform_below(
+          static_cast<std::uint64_t>(n)));
+      const int b = static_cast<int>(rng.uniform_below(
+          static_cast<std::uint64_t>(n)));
+      if (a == b) continue;
+      profile.add_buy(a, b);
+      if (rng.bernoulli(0.3)) profile.add_buy(b, a);  // double ownership
+    }
+    int pairwise = 0;
+    for (int u = 0; u < n; ++u)
+      for (int v = u + 1; v < n; ++v)
+        if (profile.has_edge(u, v)) ++pairwise;
+    EXPECT_EQ(profile.built_edge_count(), pairwise) << "trial " << trial;
+  }
 }
 
 TEST(StrategyProfileTest, SetStrategyValidates) {

@@ -129,7 +129,7 @@ TEST(IncrementalSssp, RollbackRestoresExactVectors) {
 }
 
 TEST(IncrementalSssp, BoundedSlackZeroIsBitwiseExact) {
-  // A policy that never fires (huge node cap, infinite radius) must take
+  // A policy that never fires (huge node cap) must take
   // exactly the unbounded code path's decisions: same dist vector bitwise,
   // no truncation reported, and still equal to a fresh Dijkstra.
   Rng rng(43);
@@ -213,9 +213,8 @@ TEST(IncrementalSssp, TruncatedEstimatesStayAdmissible) {
       const double w = rng.uniform_real(0.1, 4.0);
       live.emplace_back(v, w);
       FrontierPolicy tight;
-      // Tiny caps so truncation actually happens; occasionally a radius cut.
+      // Tiny caps so truncation actually happens.
       tight.node_cap = 1 + rng.uniform_below(3);
-      if (rng.uniform_below(4) == 0) tight.radius = rng.uniform_real(0.5, 6.0);
       const RepairOutcome outcome =
           sssp.relax_insert(v, w, tight, env_fn);
       if (outcome.truncated) pf = std::min(pf, outcome.frontier_min);
