@@ -10,18 +10,17 @@
 // argument, a demo instance is generated and its serialized form printed,
 // so the tool is self-documenting:
 //   game_runner --demo > host.txt && game_runner host.txt 2.0 --dot eq.dot
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <system_error>
 
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
 #include "graph/graph_algos.hpp"
 #include "metric/host_graph.hpp"
 #include "metric/instance_io.hpp"
+#include "parse_number.hpp"
 #include "support/dot.hpp"
 #include "support/table.hpp"
 
@@ -49,7 +48,8 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--demo") return run_demo();
   if (argc < 3) return usage();
   const std::string host_path = argv[1];
-  const double alpha = std::atof(argv[2]);
+  double alpha = 0.0;
+  if (!parse_number("alpha", argv[2], "a number", alpha)) return usage();
   MoveRule rule = MoveRule::kBestResponse;
   std::uint64_t seed = 1;
   std::string out_path, dot_path;
@@ -68,13 +68,8 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (flag == "--seed") {
-      const char* end = value.data() + value.size();
-      const auto parsed = std::from_chars(value.data(), end, seed);
-      if (parsed.ec != std::errc() || parsed.ptr != end) {
-        std::cerr << "--seed needs an unsigned integer, got '" << value
-                  << "'\n";
+      if (!parse_number(flag, value, "an unsigned integer", seed))
         return usage();
-      }
     } else if (flag == "--out") {
       out_path = value;
     } else if (flag == "--dot") {

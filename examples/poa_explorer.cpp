@@ -28,7 +28,6 @@
 //    O(n^2) matrix), so n in the thousands is fine:
 //      poa_explorer --host euclidean --n 4096 --seed 7 --rounds 3
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -37,6 +36,7 @@
 #include "core/social_optimum.hpp"
 #include "metric/host_graph.hpp"
 #include "metric/tree.hpp"
+#include "parse_number.hpp"
 #include "support/table.hpp"
 #include "sweep/runner.hpp"
 
@@ -191,15 +191,24 @@ int main(int argc, char** argv) {
         return 1;
       }
       const std::string value = argv[++i];
+      bool parsed = true;
       if (flag == "--host") options.host = value;
-      else if (flag == "--n") options.n = std::atoi(value.c_str());
+      else if (flag == "--n")
+        parsed = parse_number(flag, value, "an integer", options.n);
       else if (flag == "--seed")
-        options.seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
-      else if (flag == "--alpha") options.alpha = std::atof(value.c_str());
-      else if (flag == "--rounds") options.rounds = std::atoi(value.c_str());
-      else if (flag == "--agents") options.agents = std::atoi(value.c_str());
+        parsed = parse_number(flag, value, "an unsigned integer", options.seed);
+      else if (flag == "--alpha")
+        parsed = parse_number(flag, value, "a number", options.alpha);
+      else if (flag == "--rounds")
+        parsed = parse_number(flag, value, "an integer", options.rounds);
+      else if (flag == "--agents")
+        parsed = parse_number(flag, value, "an integer", options.agents);
       else {
         std::cerr << "unknown flag " << flag << "\n";
+        sweep_usage();
+        return 1;
+      }
+      if (!parsed) {
         sweep_usage();
         return 1;
       }
@@ -208,10 +217,13 @@ int main(int argc, char** argv) {
   }
 
   const std::string model = argc > 1 ? argv[1] : "metric";
-  const int n = argc > 2 ? std::atoi(argv[2]) : 5;
-  const double alpha = argc > 3 ? std::atof(argv[3]) : 1.0;
-  const int seeds = argc > 4 ? std::atoi(argv[4]) : 3;
-  if (n < 2 || alpha <= 0.0 || seeds < 1) {
+  int n = 5;
+  double alpha = 1.0;
+  int seeds = 3;
+  if ((argc > 2 && !parse_number("n", argv[2], "an integer", n)) ||
+      (argc > 3 && !parse_number("alpha", argv[3], "a number", alpha)) ||
+      (argc > 4 && !parse_number("seeds", argv[4], "an integer", seeds)) ||
+      n < 2 || alpha <= 0.0 || seeds < 1) {
     std::cerr << "usage: poa_explorer [one-two|one-inf|tree|plane|metric|"
                  "general] [n>=2] [alpha>0] [seeds>=1]\n"
               << "   or: poa_explorer --host <dense|lazy|euclidean|tree> "

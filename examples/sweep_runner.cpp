@@ -41,7 +41,6 @@
 // yields identical files.  A run killed mid-sweep resumes with --resume:
 // completed records are never re-run and a truncated trailing line is
 // discarded.  See README "Running sweeps".
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -49,6 +48,7 @@
 #include <vector>
 
 #include "metric/instance_io.hpp"
+#include "parse_number.hpp"
 #include "support/table.hpp"
 #include "sweep/aggregate.hpp"
 #include "sweep/plan.hpp"
@@ -109,19 +109,6 @@ struct CliOptions {
   long long dump_point = -1;
   std::string dump_path;
 };
-
-/// Parses `text` as one whole number of type T: no spaces, '+' or trailing
-/// characters, and '-' only for signed T.  On failure prints "<flag> needs
-/// <kind>, got '<text>'" and returns false.
-template <typename T>
-bool parse_number(const std::string& flag, const std::string& text,
-                  const char* kind, T& out) {
-  const char* end = text.data() + text.size();
-  const auto parsed = std::from_chars(text.data(), end, out);
-  if (parsed.ec == std::errc() && parsed.ptr == end) return true;
-  std::cerr << flag << " needs " << kind << ", got '" << text << "'\n";
-  return false;
-}
 
 /// Parses a comma-separated list of numbers into `out` (replacing it).
 template <typename T>

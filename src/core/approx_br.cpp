@@ -18,24 +18,6 @@ namespace {
 
 constexpr int kDefaultLadderBudget = 16;
 
-double dist_sum(const std::vector<double>& dist) {
-  double total = 0.0;
-  for (double d : dist) total += d;
-  return total;
-}
-
-/// The PR 5 per-node admissible floor (SumCostModel::tight_floor in
-/// core/br_search.cpp), re-stated here as the escape bound's distance term:
-/// in any strategy whose new edges all weigh >= w_next, node t sits at
-/// distance >= max(d_H(u,t), min(d_base(t), w_next)).
-double tight_floor_sum(const std::vector<double>& host_row,
-                       const std::vector<double>& dist, double w_next) {
-  double total = 0.0;
-  for (std::size_t t = 0; t < dist.size(); ++t)
-    total += std::max(host_row[t], std::min(dist[t], w_next));
-  return total;
-}
-
 /// Current-network-aware distance floor (satellite of PR 9).  `cur` is u's
 /// SSSP row in the *current built network* and G = max_x (d_cur(x) - w(u,x))
 /// over purchasable x.  In any deviation, a path to t either
@@ -82,57 +64,32 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   budget = std::max(budget, 0);
 
   // Candidate shortlist from the spatial oracle, (weight, id)-sorted.
-  std::vector<int>& cand = scratch.cand;
-  game.host().candidate_targets(u, budget, cand);
+  game.host().candidate_targets(u, budget, scratch.cand);
   GNCG_COUNT(kLadderCalls);
   GNCG_COUNT_N(kLadderCandidateBudget, static_cast<std::uint64_t>(budget));
-  GNCG_COUNT_N(kLadderCandidates, cand.size());
+  GNCG_COUNT_N(kLadderCandidates, scratch.cand.size());
 
-  // One Dijkstra for the whole ladder: u's distances in the bare
-  // environment.  Same kernel selection as br_search so distances match
-  // bitwise.
-  std::vector<double>& base_dist = scratch.base_dist;
-  {
-    const int dial_bound = game.host().dial_weight_bound();
-    const auto environment_edges = [&](int x, auto&& visit) {
-      env.for_neighbors(x, visit);
-    };
-    if (dial_bound > 0) {
-      arena.dial().run_into(base_dist, n, u, dial_bound, environment_edges);
-    } else {
-      arena.dijkstra().run_into(base_dist, n, u, environment_edges);
-    }
-  }
-
-  // Host-closure row (per-node floor) and per-node buy weights (canonical
-  // edge-sum evaluation), as in br_search.
-  std::vector<double>& host_row = scratch.host_row;
-  std::vector<double>& weight_row = scratch.weight_row;
-  host_row.assign(static_cast<std::size_t>(n), 0.0);
-  weight_row.assign(static_cast<std::size_t>(n), kInf);
-  for (int v = 0; v < n; ++v)
-    host_row[static_cast<std::size_t>(v)] = game.host_distance(u, v);
-
-  std::vector<double>& cand_w = scratch.cand_w;
-  std::vector<char>& in_cand = scratch.in_cand;
-  in_cand.assign(static_cast<std::size_t>(n), 0);
-  cand_w.clear();
-  cand_w.reserve(cand.size());
-  for (int v : cand) {
-    const double w = game.weight(u, v);
-    cand_w.push_back(w);
-    weight_row[static_cast<std::size_t>(v)] = w;
-    in_cand[static_cast<std::size_t>(v)] = 1;
-  }
+  // One search setup for both tiers (core/br_search.hpp): the shortlist as
+  // the search's candidates, the base vector, the host and weight rows, and
+  // one facility row per candidate, built under the repair cap (exact with
+  // cap 0).  Tier 1 ranks its probes by the rows; tier 2 searches the setup.
+  BrSearchSetup& setup = arena.br().setup;
+  prepare_br_setup(env, &scratch.cand, options.repair_cap, setup);
+  setup.build_rows(env, setup.candidates.size());
+  const std::vector<int>& cand = setup.candidates;
+  const std::vector<double>& base_dist = setup.base;
+  const std::vector<double>& host_row = setup.host_row;
+  const ImprovementRows& rows = setup.rows;
 
   // One O(n) scan for the certification weights: the cheapest purchasable
   // edge overall (w_min_all, floor for *any* non-empty strategy), the
   // cheapest purchasable edge outside the shortlist (w_out_min, entry fee
-  // of every escaping strategy), and -- when the caller supplied the
-  // current-network row -- the G bound of the current-floor certificate.
-  // A purchasable node unreachable in the current network forces G = kInf
-  // (w(u,x) >= d_cur(x) - G would otherwise be vacuously violated), which
-  // disables the current floor below.
+  // of every escaping strategy; the weight row is kInf exactly off the
+  // shortlist), and -- when the caller supplied the current-network row --
+  // the G bound of the current-floor certificate.  A purchasable node
+  // unreachable in the current network forces G = kInf (w(u,x) >= d_cur(x)
+  // - G would otherwise be vacuously violated), which disables the current
+  // floor below.
   const std::vector<double>* cur = options.current_dist;
   GNCG_DASSERT(cur == nullptr || cur->size() == static_cast<std::size_t>(n));
   double w_min_all = kInf;
@@ -143,7 +100,7 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
     const double w = game.weight(u, v);
     if (!(w < kInf)) continue;
     w_min_all = std::min(w_min_all, w);
-    if (!in_cand[static_cast<std::size_t>(v)])
+    if (!(setup.weight_row[static_cast<std::size_t>(v)] < kInf))
       w_out_min = std::min(w_out_min, w);
     if (cur != nullptr) {
       const double d = (*cur)[static_cast<std::size_t>(v)];
@@ -155,16 +112,9 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   ApproxBrResult result;
   result.candidates = static_cast<int>(cand.size());
   result.strategy = NodeSet(n);
-  const double empty_cost = dist_sum(base_dist);
+  const double empty_cost = SumCostModel::distance_term(base_dist);
   result.cost = empty_cost;
   result.evaluations = 1;
-
-  // One facility row per shortlist candidate, built from the base vector
-  // under the repair cap (exact with cap 0): tier 1 ranks its probes by
-  // them and tier 2 merges them.
-  ImprovementRows& rows = scratch.rows;
-  build_improvement_rows(env, cand, cand_w, base_dist, options.repair_cap,
-                         cand.size(), rows);
 
   // --- tier 1: greedy edge additions over the shortlist ------------------
   //
@@ -183,13 +133,10 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   const auto environment_edges = [&](int x, auto&& visit) {
     env.for_neighbors(x, visit);
   };
-  // Canonical evaluation of `current` + candidate v: re-sum the edge term
-  // in increasing target order (br_search's contract).
+  // Canonical edge sum of `current` + candidate v.
   const auto edge_sum_with = [&](int v) {
     current.insert(v);
-    double edge_sum = 0.0;
-    current.for_each(
-        [&](int t) { edge_sum += weight_row[static_cast<std::size_t>(t)]; });
+    const double edge_sum = setup.edge_sum(current);
     current.erase(v);
     return edge_sum;
   };
@@ -200,9 +147,10 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   commits.clear();
   // Exact cost of `current` + cand[i], leaving the repair applied.
   const auto repaired_cost = [&](std::size_t i) {
-    sssp.relax_insert(cand[i], cand_w[i], environment_edges);
+    sssp.relax_insert(cand[i], setup.weights[i], environment_edges);
     ++result.evaluations;
-    return game.alpha() * edge_sum_with(cand[i]) + dist_sum(sssp.dist());
+    return game.alpha() * edge_sum_with(cand[i]) +
+           SumCostModel::distance_term(sssp.dist());
   };
   std::vector<double>& thresholds = scratch.thresholds;
   const bool rows_exact =
@@ -238,7 +186,7 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
       if (best_i < 0) break;
       const std::size_t i = static_cast<std::size_t>(best_i);
       current.insert(cand[i]);
-      sssp.relax_insert(cand[i], cand_w[i], environment_edges);
+      sssp.relax_insert(cand[i], setup.weights[i], environment_edges);
       current_cost = best_cost;
       commits.emplace_back(sssp.checkpoint(), i);
     }
@@ -255,7 +203,7 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
     rank.clear();
     for (std::size_t i = 0; i < cand.size(); ++i) {
       rank.emplace_back(
-          game.alpha() * cand_w[i] +
+          game.alpha() * setup.weights[i] +
               scratch.floors.with_row(rows.frontier[i], rows.entries[i]).lo,
           static_cast<int>(i));
       ++result.evaluations;
@@ -287,7 +235,7 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   const double dist_floor =
       use_cur ? current_floor_sum(host_row, base_dist, *cur, w_min_all,
                                   g_bound)
-              : tight_floor_sum(host_row, base_dist, w_min_all);
+              : SumCostModel::tight_floor(host_row, base_dist, w_min_all);
   const double floor_any =
       w_min_all < kInf ? game.alpha() * w_min_all + dist_floor : kInf;
   const double any_lb = std::min(empty_cost, floor_any);
@@ -299,20 +247,14 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   if (!result.exact) {
     // --- tier 2: exact search restricted to the shortlist ----------------
     //
-    // Shares the ladder's base vector, host row and facility rows (no
-    // second base Dijkstra, host scan or row build) and, under a repair
-    // cap, runs the bounded branch-and-bound: br.cost is then a certified
-    // lower bound on the restricted optimum whenever br.truncated, and the
-    // adopted strategy is re-costed by full repairs below, so result.cost
-    // stays an achieved cost.
-    BestResponseOptions restricted;
-    restricted.incumbent = result.cost;
-    restricted.restrict_targets = &cand;
-    restricted.base_dist = &base_dist;
-    restricted.host_row = &host_row;
-    restricted.rows = &rows;
-    restricted.repair_cap = options.repair_cap;
-    const BestResponseResult br = br_search_sum(env, restricted);
+    // Searches the ladder's setup (no second base Dijkstra, host scan or
+    // row build) and, under a repair cap, runs the bounded branch-and-bound:
+    // br.cost is then a certified lower bound on the restricted optimum
+    // whenever br.truncated, and the adopted strategy is re-costed by full
+    // repairs below, so result.cost stays an achieved cost.
+    const double tier1_cost = result.cost;
+    BestResponseResult br;
+    br_search_sum(env, setup, tier1_cost, br);
     result.evaluations += br.evaluations;
     if (br.improved) {
       if (br.truncated) {
@@ -332,14 +274,13 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
             if (cand[commits[j].second] == v) return true;
           return false;
         };
-        double edge_sum = 0.0;
         br.strategy.for_each([&](int v) {
-          const double w = weight_row[static_cast<std::size_t>(v)];
-          edge_sum += w;
-          if (!committed(v)) sssp.relax_insert(v, w, environment_edges);
+          if (!committed(v))
+            sssp.relax_insert(v, setup.weight_row[static_cast<std::size_t>(v)],
+                              environment_edges);
         });
-        const double achieved =
-            game.alpha() * edge_sum + dist_sum(sssp.dist());
+        const double achieved = game.alpha() * setup.edge_sum(br.strategy) +
+                                SumCostModel::distance_term(sssp.dist());
         ++result.evaluations;
         if (improves(achieved, result.cost)) {
           result.cost = achieved;
@@ -360,7 +301,7 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
     // strategy pays alpha * w_out_min plus the distance floor.  The
     // any-strategy tier-1 bound still applies, and the final bound is
     // clamped to the achieved cost (a lower bound above it is vacuous).
-    const double restricted_lb = std::min(br.cost, restricted.incumbent);
+    const double restricted_lb = std::min(br.cost, tier1_cost);
     const double escape_lb =
         w_out_min < kInf ? game.alpha() * w_out_min + dist_floor : kInf;
     double lb = std::min(restricted_lb, escape_lb);

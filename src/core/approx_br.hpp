@@ -9,10 +9,10 @@
 // oracle (HostBackend::candidate_targets -- grid-accelerated on euclidean
 // backends) and climbs two tiers, each with a certified quality bound:
 //
-//  * Rows.  One facility row per shortlist candidate, built once per call
-//    from the base vector (core/br_search.hpp build_improvement_rows),
-//    capped at repair_cap overwrites, with its truncation key.  Both tiers
-//    read the same table.
+//  * Setup.  One best-response search setup per call (core/br_search.hpp
+//    BrSearchSetup): the shortlist as the candidates, the base vector, the
+//    host row and one facility row per candidate, capped at repair_cap
+//    overwrites, with its truncation key.  Both tiers read it.
 //  * Tier 1 -- greedy over the rows.  Starting from the empty strategy,
 //    repeatedly add a candidate edge that strictly decreases the cost.
 //    Each probe is an O(row) admissible floor (graph/improvement_rows.hpp
@@ -22,11 +22,11 @@
 //    exact rows (cap 0, or a cap that never fired) each round takes the
 //    best such candidate, in shortlist order on ties; with truncated rows
 //    one pass in floor order keeps every candidate that improves.
-//  * Tier 2 -- exact search restricted to the shortlist.  br_search with
-//    BestResponseOptions::restrict_targets over the ladder's rows: the true
-//    minimum c_C over strategies inside the candidate set C (a certified
-//    lower bound on it when a merged row was truncated).  Tier 2 runs only
-//    when tier 1 could not certify its result exact.
+//  * Tier 2 -- exact search restricted to the shortlist.  br_search over
+//    the ladder's setup: the true minimum c_C over strategies inside the
+//    candidate set C (a certified lower bound on it when a merged row was
+//    truncated).  Tier 2 runs only when tier 1 could not certify its result
+//    exact.
 //
 // Certification.  Every tier reports an admissible lower bound LB on the
 // *unrestricted* best-response cost and beta = cost / LB.  The bound is the

@@ -25,7 +25,6 @@
 #include "core/cost.hpp"
 #include "core/game.hpp"
 #include "graph/csr_adjacency.hpp"
-#include "graph/improvement_rows.hpp"
 
 namespace gncg {
 
@@ -112,7 +111,11 @@ struct BestResponseResult {
   bool truncated = false;
 };
 
-/// Options for the exact search.
+/// Options for the exact search.  The search's inputs (candidates, base
+/// vector, host row, facility rows) are built in one place from the
+/// environment, restrict_targets and repair_cap (core/br_search.hpp
+/// prepare_br_setup); incumbent and first_improvement steer the search
+/// over them.
 struct BestResponseOptions {
   /// Pruning bound: subtrees that cannot strictly beat it are cut.  Pass the
   /// agent's current cost for equilibrium checks; kInf for a full argmin.
@@ -141,27 +144,6 @@ struct BestResponseOptions {
   /// is a certified lower bound whenever BestResponseResult::truncated is
   /// set (and still the exact optimum when no row of the winner truncated).
   std::size_t repair_cap = 0;
-
-  /// When non-null, seeds the search's base distance vector from this
-  /// precomputed SSSP row (the agent's distances in the *environment*,
-  /// i.e. without any of u's sole-owned edges) instead of running the base
-  /// Dijkstra.  The batched certifier shares one warmed row across the
-  /// ladder's tiers this way.  The pointee must match the environment
-  /// exactly (bitwise: it becomes the branch seed) and outlive the call.
-  const std::vector<double>* base_dist = nullptr;
-
-  /// When non-null, the agent's host-closure row (host_distance(u, v) for
-  /// every v), used as-is instead of re-querying the backend.  Same
-  /// lifetime and exactness rules as base_dist.
-  const std::vector<double>* host_row = nullptr;
-
-  /// When non-null, the search's facility rows, built by the caller with
-  /// build_improvement_rows (core/br_search.hpp) from base_dist under this
-  /// repair_cap, one row per entry of restrict_targets in list order.  The
-  /// list must then be exactly the search's candidate order: purchasable,
-  /// (weight, id)-sorted and duplicate-free, as the spatial oracle returns
-  /// it.  Requires base_dist and restrict_targets.
-  const ImprovementRows* rows = nullptr;
 };
 
 /// Exact best response of agent u against the rest of profile `s`.

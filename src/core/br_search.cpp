@@ -17,38 +17,7 @@ namespace gncg {
 
 namespace {
 
-// --- cost models ----------------------------------------------------------
-//
-// A model supplies the distance aggregation and the two admissible floors.
-// Aggregations run in increasing node order so SUM stays bit-identical to
-// the naive search's "fresh Dijkstra, sum in node order" evaluation (MAX is
-// order-insensitive).
-
-struct SumCostModel {
-  /// The SUM floors decompose over nodes, so capped-row searches bracket
-  /// them with RowFloor (graph/improvement_rows.hpp).
-  static constexpr bool kRowFloors = true;
-
-  static double distance_term(const std::vector<double>& dist) {
-    double total = 0.0;
-    for (double d : dist) total += d;
-    return total;
-  }
-
-  /// Per-node floor for any superset reachable from the current DFS node:
-  /// d(t) >= max(d_H(u,t), min(d_S(t), w_next)).  Any path either avoids
-  /// the new edges (>= d_S(t)) or starts with one (all new edges are
-  /// incident to the source, so a shortest path uses at most one, first;
-  /// its weight alone is >= w_next, the smallest remaining candidate).
-  static double tight_floor(const std::vector<double>& host_row,
-                            const std::vector<double>& dist, double w_next) {
-    double total = 0.0;
-    for (std::size_t t = 0; t < dist.size(); ++t)
-      total += std::max(host_row[t], std::min(dist[t], w_next));
-    return total;
-  }
-};
-
+/// MAX objective: eccentricity instead of the sum (order-insensitive).
 struct MaxCostModel {
   static constexpr bool kRowFloors = false;
 
@@ -80,10 +49,9 @@ struct MaxCostModel {
 template <class Model, bool Bracketed>
 struct BranchSearch {
   const Game* game = nullptr;
-  const std::vector<int>* candidates = nullptr;
-  const std::vector<double>* weights = nullptr;
-  const std::vector<double>* weight_row = nullptr;  ///< weight by node id
-  const std::vector<double>* host_row = nullptr;
+  /// The driver's setup, read-only during the fan-out: candidates, their
+  /// weights, the host row and the row table.
+  const BrSearchSetup* setup = nullptr;
   double cheap_floor = 0.0;
   double base_bound = kInf;  ///< min(empty-set recorded cost, incumbent)
   double incumbent = kInf;   ///< original bound (improved = beat this)
@@ -100,15 +68,14 @@ struct BranchSearch {
   double current_weight = 0.0;
   bool done = false;
 
-  /// The driver's read-only row table plus this branch's distance vector
-  /// and min-merge undo log.  Inserting candidate i lowers dist to
+  /// This branch's distance vector and min-merge undo log over the setup's
+  /// row table.  Inserting candidate i lowers dist to
   /// min(dist, row_i) and logs every overwrite; removing it replays the log
   /// back to the insert's mark.  `path_frontier` is the minimum truncation
   /// key over the rows still on the DFS path (kInf while every one is
   /// exact): true(t) >= min(dist(t), path_frontier) for every node t
   /// (graph/improvement_rows.hpp).  Saved/restored around each descend
   /// step like the undo mark.
-  const ImprovementRows* rows = nullptr;
   std::vector<double>* dist = nullptr;
   std::vector<std::pair<int, double>>* undo = nullptr;
   double path_frontier = kInf;
@@ -143,10 +110,7 @@ struct BranchSearch {
     // would carry path-dependent rounding noise (which subtrees were
     // explored before reaching this node), the pre-refactor search's
     // cost-vs-cost_of ulp mismatch.
-    double edge_sum = 0.0;
-    current->for_each(
-        [&](int v) { edge_sum += (*weight_row)[static_cast<std::size_t>(v)]; });
-    const double edge_cost = game->alpha() * edge_sum;
+    const double edge_cost = game->alpha() * setup->edge_sum(*current);
     ++out->evaluations;
     GNCG_COUNT(kBrEvaluations);
     // A subset whose bracketed cost cannot be recorded skips the O(n) sum:
@@ -166,7 +130,8 @@ struct BranchSearch {
     // identical (max(host, dist) could differ from dist in the last ulp).
     const bool lower_bound_only = path_frontier < kInf;
     const double dist_term =
-        lower_bound_only ? Model::tight_floor(*host_row, *dist, path_frontier)
+        lower_bound_only ? Model::tight_floor(setup->host_row, *dist,
+                                              path_frontier)
                          : Model::distance_term(*dist);
     if constexpr (Bracketed) GNCG_COUNT(kBrFullSums);
     const double cost = edge_cost + dist_term;
@@ -185,8 +150,8 @@ struct BranchSearch {
   /// failure cuts every later sibling too (the caller breaks).
   bool pruned(std::size_t i) const {
     const double b = bound();
-    const double edge_cost =
-        game->alpha() * (current_weight + (*weights)[i]);
+    const double w = setup->weights[i];
+    const double edge_cost = game->alpha() * (current_weight + w);
     if (!improves(edge_cost + cheap_floor, b)) {
       GNCG_COUNT(kBrPrunesGlobal);
       return true;
@@ -195,7 +160,7 @@ struct BranchSearch {
     // so the per-node floor also clamps at the path frontier: any true
     // distance is >= min(dist(t), path_frontier), and a new edge still
     // costs at least w_next.  Without truncation the threshold is w_next.
-    const double theta = std::min((*weights)[i], path_frontier);
+    const double theta = std::min(w, path_frontier);
     if constexpr (Bracketed) {
       // Decide from the bracket when it settles the canonical comparison.
       // Merged rows only lower terms, so the base sum alone is an upper
@@ -210,8 +175,8 @@ struct BranchSearch {
       if (improves(edge_cost + floor.hi, b)) return false;
       GNCG_COUNT(kBrFullSums);
     }
-    if (!improves(edge_cost + Model::tight_floor(*host_row, *dist, theta),
-                  b)) {
+    if (!improves(
+            edge_cost + Model::tight_floor(setup->host_row, *dist, theta), b)) {
       GNCG_COUNT(kBrPrunesPerNode);
       return true;
     }
@@ -221,15 +186,16 @@ struct BranchSearch {
   /// dist <- min(dist, row_i), logging every overwrite.
   void insert(std::size_t i) {
     GNCG_COUNT(kBrExpansions);
-    current->insert((*candidates)[i]);
-    current_weight += (*weights)[i];
+    const ImprovementRows& rows = setup->rows;
+    current->insert(setup->candidates[i]);
+    current_weight += setup->weights[i];
     const double frontier_before = path_frontier;
-    path_frontier = std::min(path_frontier, rows->frontier[i]);
+    path_frontier = std::min(path_frontier, rows.frontier[i]);
     std::vector<double>& d = *dist;
     GNCG_IF_INSTRUMENT(const std::size_t mark = undo->size();)
     if (Bracketed && path_frontier == frontier_before) {
-      const std::vector<double>& h = *host_row;
-      for (const auto& [t, row_t] : rows->entries[i]) {
+      const std::vector<double>& h = setup->host_row;
+      for (const auto& [t, row_t] : rows.entries[i]) {
         const auto ti = static_cast<std::size_t>(t);
         double& slot = d[ti];
         if (row_t < slot) {
@@ -240,7 +206,7 @@ struct BranchSearch {
         }
       }
     } else {
-      for (const auto& [t, row_t] : rows->entries[i]) {
+      for (const auto& [t, row_t] : rows.entries[i]) {
         double& slot = d[static_cast<std::size_t>(t)];
         if (row_t < slot) {
           undo->emplace_back(t, slot);
@@ -263,8 +229,8 @@ struct BranchSearch {
     }
     path_frontier = frontier_mark;
     eval_delta = delta_mark;
-    current->erase((*candidates)[i]);
-    current_weight -= (*weights)[i];
+    current->erase(setup->candidates[i]);
+    current_weight -= setup->weights[i];
   }
 
   /// Inserts candidate i, evaluates the subset and explores its supersets
@@ -280,7 +246,7 @@ struct BranchSearch {
   }
 
   void descend(std::size_t start) {
-    for (std::size_t i = start; i < candidates->size() && !done; ++i) {
+    for (std::size_t i = start; i < setup->candidates.size() && !done; ++i) {
       if (aborted()) {
         GNCG_COUNT(kBrBranchAborts);
         done = true;
@@ -292,94 +258,28 @@ struct BranchSearch {
   }
 };
 
-/// The shared driver: empty-set evaluation, facility-row build (exact
-/// mode), first-level fan-out over the worker pool, deterministic in-order
-/// fold.  Writes into `result`, reusing its strategy's storage.
+/// The shared driver over a prepared setup: empty-set evaluation, the
+/// facility rows the search needs, first-level fan-out over the worker
+/// pool, deterministic in-order fold.  Writes into `result`, reusing its
+/// strategy's storage.
 template <class Model>
-void run_search(const AgentEnvironment& env,
-                const BestResponseOptions& options,
+void run_search(const AgentEnvironment& env, BrSearchSetup& setup,
+                double incumbent, bool first_improvement,
                 BestResponseResult& result) {
   const Game& game = env.game();
   const int n = game.node_count();
-  const int u = env.agent();
   GNCG_COUNT(kBrSearches);
 
   // Driver scratch comes from the calling worker's arena.  Branch tasks on
-  // other workers read these buffers through const pointers only; branch
-  // tasks on *this* thread (the caller participates in the fan-out) must
-  // therefore never write them -- they use the arena's disjoint branch
-  // state (the row partition's branch half, the incremental SSSP) instead.
-  // The one exception is the outcome table: slot i belongs to branch i.
-  ScratchArena& arena = worker_arena();
-  ScratchArena::BrScratch& scratch = arena.br();
-  const auto environment_edges = [&](int x, auto&& visit) {
-    env.for_neighbors(x, visit);
-  };
-
-  // Candidate targets sorted by edge weight so the branch-and-bound cut is
-  // monotone: every node u may buy towards, or -- under restrict_targets --
-  // only the oracle's shortlist (same sort key, so a full-coverage list
-  // reproduces the unrestricted order bit-for-bit).
-  std::vector<std::pair<double, int>>& order = scratch.order;
-  order.clear();
-  if (options.restrict_targets != nullptr) {
-    for (int v : *options.restrict_targets)
-      if (game.can_buy(u, v)) order.emplace_back(game.weight(u, v), v);
-    std::sort(order.begin(), order.end());
-    // A duplicated list entry would make the DFS insert one node twice;
-    // collapse exact repeats (identical (weight, node) pairs).
-    order.erase(std::unique(order.begin(), order.end()), order.end());
-  } else {
-    for (int v = 0; v < n; ++v)
-      if (game.can_buy(u, v)) order.emplace_back(game.weight(u, v), v);
-    std::sort(order.begin(), order.end());
-  }
-  std::vector<int>& candidates = scratch.candidates;
-  std::vector<double>& weights = scratch.weights;
-  candidates.clear();
-  weights.clear();
-  for (const auto& [w, v] : order) {
-    candidates.push_back(v);
-    weights.push_back(w);
-  }
-
-  // The one Dijkstra of the search: u's distances in the bare environment
-  // (the empty-strategy network).  Every branch seeds its distance state
-  // from this.  Integer-weight hosts take the bucket-queue kernel
-  // (bit-identical distances).  A caller that already holds this exact row
-  // (the ladder sharing one base across its tiers) passes it via
-  // options.base_dist and the search skips the kernel.
-  const std::vector<double>* base_source = options.base_dist;
-  if (base_source == nullptr) {
-    const int dial_bound = game.host().dial_weight_bound();
-    if (dial_bound > 0) {
-      arena.dial().run_into(scratch.base_dist, n, u, dial_bound,
-                            environment_edges);
-    } else {
-      arena.dijkstra().run_into(scratch.base_dist, n, u, environment_edges);
-    }
-    base_source = &scratch.base_dist;
-  }
-  const std::vector<double>& base_dist = *base_source;
-  GNCG_DASSERT(base_dist.size() == static_cast<std::size_t>(n));
-
-  // Host-closure row of u: the per-node admissible floor (stable per the
-  // host-backend query contract; materialized once per search so the DFS
-  // bound never re-queries implicit backends), unless the caller hands it
-  // over.  weight_row serves the canonical edge-sum evaluation the same way.
-  const std::vector<double>* host_source = options.host_row;
-  if (host_source == nullptr) {
-    scratch.host_row.resize(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v)
-      scratch.host_row[static_cast<std::size_t>(v)] = game.host_distance(u, v);
-    host_source = &scratch.host_row;
-  }
-  const std::vector<double>& host_row = *host_source;
-  GNCG_DASSERT(host_row.size() == static_cast<std::size_t>(n));
-  std::vector<double>& weight_row = scratch.weight_row;
-  weight_row.assign(static_cast<std::size_t>(n), kInf);
-  for (std::size_t i = 0; i < candidates.size(); ++i)
-    weight_row[static_cast<std::size_t>(candidates[i])] = weights[i];
+  // other workers read the setup and these buffers through const pointers
+  // only; branch tasks on *this* thread (the caller participates in the
+  // fan-out) must therefore never write them -- they use the arena's
+  // disjoint branch state (BrBranchScratch) instead.  The one exception is
+  // the outcome table: slot i belongs to branch i.
+  ScratchArena::BrScratch& scratch = worker_arena().br();
+  const std::vector<double>& weights = setup.weights;
+  const std::vector<double>& base = setup.base;
+  const std::vector<double>& host_row = setup.host_row;
   // Global floor: the distance term of the host row itself (O(n); SUM adds
   // the row in increasing v order, bitwise equal to host_distance_sum(u) by
   // the backend contract -- the naive search's dist_lower_bound).
@@ -389,47 +289,35 @@ void run_search(const AgentEnvironment& env,
   result.cost = kInf;
   result.improved = false;
   result.truncated = false;
-  const double empty_cost =
-      game.alpha() * 0.0 + Model::distance_term(base_dist);
+  const double empty_cost = game.alpha() * 0.0 + Model::distance_term(base);
   result.evaluations = 1;
   GNCG_COUNT(kBrEvaluations);
   bool done = false;
-  if (improves(empty_cost, options.incumbent)) {
+  if (improves(empty_cost, incumbent)) {
     result.cost = empty_cost;
     result.improved = true;
-    if (options.first_improvement) done = true;
+    if (first_improvement) done = true;
   }
 
-  const std::size_t k = candidates.size();
+  const std::size_t k = setup.candidates.size();
   if (!done && k > 0) {
-    const double base_bound = std::min(result.cost, options.incumbent);
+    const double base_bound = std::min(result.cost, incumbent);
 
     // One improvement row per candidate, built once from the base vector
     // (capped at repair_cap overwrites in bounded mode).  Only candidates
     // passing the O(1) global entry cut need a row: the cut's floor only
     // grows with the DFS weight and the bound only shrinks, so a candidate
     // failing it at the root is never inserted at any depth (on the
-    // weight-sorted list they form a suffix).
-    //
-    // The build is its own parallel pass, complete and read-only before the
-    // fan-out starts.  A caller that built the rows already (the ladder,
-    // for its whole shortlist) hands them over.
+    // weight-sorted list they form a suffix).  The build is its own
+    // parallel pass, complete and read-only before the fan-out starts; a
+    // setup whose rows exist already (the ladder's) builds none.
     std::size_t row_count = 0;
     while (row_count < k &&
            improves(game.alpha() * (0.0 + weights[row_count]) + cheap_floor,
                     base_bound))
       ++row_count;
-    const ImprovementRows* rows = options.rows;
-    GNCG_DASSERT(rows == nullptr ||
-                 (options.restrict_targets != nullptr &&
-                  *options.restrict_targets == candidates));
-    if (rows == nullptr) {
-      build_improvement_rows(env, candidates, weights, base_dist,
-                             options.repair_cap, row_count,
-                             arena.br_rows().rows);
-      rows = &arena.br_rows().rows;
-    }
-    GNCG_DASSERT(rows->size() >= row_count);
+    setup.build_rows(env, row_count);
+    const ImprovementRows& rows = setup.rows;
 
     // Capped rows touch few nodes, so a SUM search brackets its O(n) sums
     // from per-threshold base sums: every threshold a branch can ask for is
@@ -438,15 +326,15 @@ void run_search(const AgentEnvironment& env,
     // O(n)-sized, and exact mode keeps its plain passes.
     const RowFloor* floors = nullptr;
     if constexpr (Model::kRowFloors) {
-      if (options.repair_cap > 0) {
+      if (setup.repair_cap > 0) {
         std::vector<double>& thresholds = scratch.thresholds;
         thresholds.assign(weights.begin(),
                           weights.begin() + static_cast<std::ptrdiff_t>(
                                                 row_count));
-        thresholds.insert(thresholds.end(), rows->frontier.begin(),
-                          rows->frontier.begin() +
+        thresholds.insert(thresholds.end(), rows.frontier.begin(),
+                          rows.frontier.begin() +
                               static_cast<std::ptrdiff_t>(row_count));
-        scratch.floors.build(host_row, base_dist, thresholds);
+        scratch.floors.build(host_row, base, thresholds);
         floors = &scratch.floors;
       }
     }
@@ -465,7 +353,7 @@ void run_search(const AgentEnvironment& env,
           out.improved = false;
           out.evaluations = 0;
           out.truncated = false;
-          if (options.first_improvement &&
+          if (first_improvement &&
               winner.load(std::memory_order_relaxed) <
                   static_cast<int>(i)) {
             GNCG_COUNT(kBrBranchAborts);
@@ -482,33 +370,30 @@ void run_search(const AgentEnvironment& env,
           const double entry_floor =
               floors != nullptr
                   ? floors->reference_sum(weights[i])
-                  : Model::tight_floor(host_row, base_dist, weights[i]);
+                  : Model::tight_floor(host_row, base, weights[i]);
           if (!improves(entry_edge + entry_floor, base_bound)) {
             GNCG_COUNT(kBrPrunesPerNode);
             return;
           }
 
-          ScratchArena::BrRowScratch& branch_state = worker_arena().br_rows();
+          ScratchArena::BrBranchScratch& branch_state =
+              worker_arena().br_branch();
           const auto run_branch = [&](auto& search) {
             search.game = &game;
-            search.candidates = &candidates;
-            search.weights = &weights;
-            search.weight_row = &weight_row;
-            search.host_row = &host_row;
+            search.setup = &setup;
             search.cheap_floor = cheap_floor;
             search.base_bound = base_bound;
-            search.incumbent = options.incumbent;
-            search.first_improvement = options.first_improvement;
+            search.incumbent = incumbent;
+            search.first_improvement = first_improvement;
             search.branch = static_cast<int>(i);
-            if (options.first_improvement) search.winner = &winner;
+            if (first_improvement) search.winner = &winner;
             search.out = &out;
             search.current = &branch_state.current;
             search.current->reset(n);
-            search.rows = rows;
             search.dist = &branch_state.dist;
             search.undo = &branch_state.undo;
             search.floors = floors;
-            *search.dist = base_dist;
+            *search.dist = base;
             search.undo->clear();
             search.expand(i);
           };
@@ -520,7 +405,7 @@ void run_search(const AgentEnvironment& env,
             run_branch(search);
           }
 
-          if (out.improved && options.first_improvement) {
+          if (out.improved && first_improvement) {
             int expected = winner.load(std::memory_order_relaxed);
             while (static_cast<int>(i) < expected &&
                    !winner.compare_exchange_weak(
@@ -538,18 +423,17 @@ void run_search(const AgentEnvironment& env,
     for (std::size_t i = 0; i < k; ++i) {
       const ScratchArena::BrScratch::Outcome& out = outcomes[i];
       result.evaluations += out.evaluations;
-      if (options.first_improvement) {
+      if (first_improvement) {
         if (!result.improved && out.improved) {
           result.cost = out.cost;
           result.strategy = out.strategy;
           result.improved = true;
           result.truncated = out.truncated;
         }
-      } else if (improves(out.cost,
-                          std::min(result.cost, options.incumbent))) {
+      } else if (improves(out.cost, std::min(result.cost, incumbent))) {
         result.cost = out.cost;
         result.strategy = out.strategy;
-        result.improved = improves(result.cost, options.incumbent);
+        result.improved = improves(result.cost, incumbent);
         result.truncated = out.truncated;
       }
     }
@@ -557,12 +441,89 @@ void run_search(const AgentEnvironment& env,
 
   // A full search (infinite incumbent) always reports the argmin, even when
   // every strategy costs kInf (hosts that cannot connect u at all).
-  if (!(result.cost < kInf) && !(options.incumbent < kInf)) {
+  if (!(result.cost < kInf) && !(incumbent < kInf)) {
     result.cost = empty_cost;
   }
 }
 
+/// Prepares the calling worker's setup from `options`, then searches it.
+template <class Model>
+void prepare_and_run(const AgentEnvironment& env,
+                     const BestResponseOptions& options,
+                     BestResponseResult& result) {
+  BrSearchSetup& setup = worker_arena().br().setup;
+  prepare_br_setup(env, options.restrict_targets, options.repair_cap, setup);
+  run_search<Model>(env, setup, options.incumbent, options.first_improvement,
+                    result);
+}
+
 }  // namespace
+
+void prepare_br_setup(const AgentEnvironment& env,
+                      const std::vector<int>* restrict_targets,
+                      std::size_t repair_cap, BrSearchSetup& setup) {
+  const Game& game = env.game();
+  const int n = game.node_count();
+  const int u = env.agent();
+
+  // Candidate targets sorted by edge weight so the branch-and-bound cut is
+  // monotone.
+  std::vector<std::pair<double, int>>& order = setup.order;
+  order.clear();
+  if (restrict_targets != nullptr) {
+    for (int v : *restrict_targets)
+      if (game.can_buy(u, v)) order.emplace_back(game.weight(u, v), v);
+    std::sort(order.begin(), order.end());
+    // A duplicated list entry would make the DFS insert one node twice;
+    // collapse exact repeats (identical (weight, node) pairs).
+    order.erase(std::unique(order.begin(), order.end()), order.end());
+  } else {
+    for (int v = 0; v < n; ++v)
+      if (game.can_buy(u, v)) order.emplace_back(game.weight(u, v), v);
+    std::sort(order.begin(), order.end());
+  }
+  setup.candidates.clear();
+  setup.weights.clear();
+  setup.weight_row.assign(static_cast<std::size_t>(n), kInf);
+  for (const auto& [w, v] : order) {
+    setup.candidates.push_back(v);
+    setup.weights.push_back(w);
+    setup.weight_row[static_cast<std::size_t>(v)] = w;
+  }
+
+  // The one Dijkstra of the search: u's distances in the bare environment
+  // (the empty-strategy network).  Every branch seeds its distance state
+  // from this.
+  worker_arena().sssp_into(setup.base, n, u, game.host().dial_weight_bound(),
+                           [&](int x, auto&& visit) {
+                             env.for_neighbors(x, visit);
+                           });
+
+  // Host-closure row of u: the per-node admissible floor (stable per the
+  // host-backend query contract; materialized once per search so the DFS
+  // bound never re-queries implicit backends).
+  setup.host_row.resize(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v)
+    setup.host_row[static_cast<std::size_t>(v)] = game.host_distance(u, v);
+
+  setup.repair_cap = repair_cap;
+  setup.rows.resize(0);
+}
+
+void BrSearchSetup::build_rows(const AgentEnvironment& env,
+                               std::size_t count) {
+  build_improvement_rows(env, candidates, weights, base, repair_cap,
+                         std::min(count, candidates.size()), rows);
+}
+
+std::size_t BrSearchSetup::footprint_bytes() const {
+  return candidates.capacity() * sizeof(int) +
+         (weights.capacity() + weight_row.capacity() + base.capacity() +
+          host_row.capacity()) *
+             sizeof(double) +
+         rows.footprint_bytes() +
+         order.capacity() * sizeof(std::pair<double, int>);
+}
 
 void build_improvement_rows(const AgentEnvironment& env,
                             const std::vector<int>& targets,
@@ -571,10 +532,12 @@ void build_improvement_rows(const AgentEnvironment& env,
                             std::size_t repair_cap, std::size_t count,
                             ImprovementRows& rows) {
   GNCG_DASSERT(count <= targets.size() && count <= weights.size());
+  const std::size_t built = rows.size();
+  if (count <= built) return;
   rows.resize(count);
   FrontierPolicy policy;
   policy.node_cap = repair_cap;
-  parallel_for(0, count, [&](std::size_t i) {
+  parallel_for(built, count, [&](std::size_t i) {
     IncrementalSssp& builder = worker_arena().incremental_sssp();
     builder.reset(base);
     const RepairOutcome outcome = builder.append_improvement_row(
@@ -590,7 +553,13 @@ void build_improvement_rows(const AgentEnvironment& env,
 void br_search_sum(const AgentEnvironment& env,
                    const BestResponseOptions& options,
                    BestResponseResult& result) {
-  run_search<SumCostModel>(env, options, result);
+  prepare_and_run<SumCostModel>(env, options, result);
+}
+
+void br_search_sum(const AgentEnvironment& env, BrSearchSetup& setup,
+                   double incumbent, BestResponseResult& result) {
+  run_search<SumCostModel>(env, setup, incumbent, /*first_improvement=*/false,
+                           result);
 }
 
 BestResponseResult br_search_sum(const AgentEnvironment& env,
@@ -603,7 +572,7 @@ BestResponseResult br_search_sum(const AgentEnvironment& env,
 BestResponseResult br_search_max(const AgentEnvironment& env,
                                  const BestResponseOptions& options) {
   BestResponseResult result;
-  run_search<MaxCostModel>(env, options, result);
+  prepare_and_run<MaxCostModel>(env, options, result);
   return result;
 }
 

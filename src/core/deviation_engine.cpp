@@ -15,29 +15,15 @@ namespace gncg {
 
 namespace {
 
-/// SSSP from `source` into `dist` with the calling worker's arena, selecting
-/// the bucket-queue kernel when the engine certified an integer bound.
-template <class NeighborFn>
-void arena_sssp(std::vector<double>& dist, int n, int source, int dial_bound,
-                NeighborFn&& neighbor_fn) {
-  ScratchArena& arena = worker_arena();
-  if (dial_bound > 0) {
-    arena.dial().run_into(dist, n, source, dial_bound,
-                          std::forward<NeighborFn>(neighbor_fn));
-  } else {
-    arena.dijkstra().run_into(dist, n, source,
-                              std::forward<NeighborFn>(neighbor_fn));
-  }
-}
-
 /// Distance sum from `source` via the arena's sum-scratch vector (increasing
 /// index order, same as summing a run_into result).
 template <class NeighborFn>
 double arena_sssp_sum(int n, int source, int dial_bound,
                       NeighborFn&& neighbor_fn) {
-  std::vector<double>& dist = worker_arena().sum_dist();
-  arena_sssp(dist, n, source, dial_bound,
-             std::forward<NeighborFn>(neighbor_fn));
+  ScratchArena& arena = worker_arena();
+  std::vector<double>& dist = arena.sum_dist();
+  arena.sssp_into(dist, n, source, dial_bound,
+                  std::forward<NeighborFn>(neighbor_fn));
   double total = 0.0;
   for (double d : dist) total += d;
   return total;
@@ -258,11 +244,11 @@ const DeviationEngine::AgentCache& DeviationEngine::ensure(int u) {
     repair(u, cache);
   } else {
     GNCG_COUNT(kEngineCacheMisses);
-    arena_sssp(cache.dist, game_->node_count(), u, dial_bound_,
-               [&](int y, auto&& visit) {
-                 for (const auto& nb : adjacency_.neighbors(y))
-                   visit(nb.to, nb.weight);
-               });
+    worker_arena().sssp_into(cache.dist, game_->node_count(), u, dial_bound_,
+                             [&](int y, auto&& visit) {
+                               for (const auto& nb : adjacency_.neighbors(y))
+                                 visit(nb.to, nb.weight);
+                             });
     double total = 0.0;
     for (double d : cache.dist) total += d;
     cache.dist_sum = total;

@@ -141,17 +141,9 @@ BestResponseUmfl umfl_from_best_response(const Game& game,
     if (s.buys(v, u)) reduction.owners_towards_agent.insert(v);
   }
 
-  // Distances in G' = the built network minus u's own edges, with one
-  // Dijkstra per facility node.
-  std::vector<std::vector<Neighbor>> g_prime(static_cast<std::size_t>(n));
-  for (int owner = 0; owner < n; ++owner) {
-    if (owner == u) continue;
-    s.strategy(owner).for_each([&](int target) {
-      const double w = game.weight(owner, target);
-      g_prime[static_cast<std::size_t>(owner)].push_back({target, w});
-      g_prime[static_cast<std::size_t>(target)].push_back({owner, w});
-    });
-  }
+  // Distances in G' = the built network minus u's own edges (u's
+  // environment), with one Dijkstra per facility node.
+  const AgentEnvironment env(game, s, u);
 
   const std::size_t count = reduction.facility_node.size();
   auto& instance = reduction.instance;
@@ -171,11 +163,7 @@ BestResponseUmfl umfl_from_best_response(const Game& game,
     }
     dijkstra_over(
         n, f,
-        [&](int x, auto&& visit) {
-          for (const auto& nb : g_prime[static_cast<std::size_t>(x)])
-            visit(nb.to, nb.weight);
-        },
-        dist);
+        [&](int x, auto&& visit) { env.for_neighbors(x, visit); }, dist);
     for (std::size_t ci = 0; ci < count; ++ci) {
       const int c = reduction.facility_node[ci];
       const double through = dist[static_cast<std::size_t>(c)];

@@ -6,8 +6,8 @@ namespace gncg {
 
 void ImprovementRows::resize(std::size_t count) {
   if (entries.size() < count) entries.resize(count);
-  for (std::size_t i = 0; i < count; ++i) entries[i].clear();
-  frontier.assign(count, kInf);
+  for (std::size_t i = size(); i < count; ++i) entries[i].clear();
+  frontier.resize(count, kInf);
 }
 
 std::size_t ImprovementRows::footprint_bytes() const {

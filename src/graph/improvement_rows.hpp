@@ -63,7 +63,8 @@ struct ImprovementRows {
 
   std::size_t size() const { return frontier.size(); }
 
-  /// Sizes the table to `count` rows, clearing their entries.
+  /// Sizes the table to `count` rows: the first min(size(), count) rows
+  /// stay, added rows start empty and exact.
   void resize(std::size_t count);
 
   std::size_t footprint_bytes() const;

@@ -18,23 +18,13 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += repair_.affected_mark.capacity() * sizeof(char);
   total += repair_.affected.capacity() * sizeof(int);
   total += repair_.heap.capacity() * sizeof(detail::HeapEntry);
-  total += br_.order.capacity() * sizeof(std::pair<double, int>);
-  total += br_.candidates.capacity() * sizeof(int);
-  total += (br_.weights.capacity() + br_.base_dist.capacity() +
-            br_.host_row.capacity() + br_.weight_row.capacity()) *
-           sizeof(double);
+  total += br_.setup.footprint_bytes();
   total += br_.thresholds.capacity() * sizeof(double);
   total += br_.floors.footprint_bytes();
   total += br_.outcomes.capacity() * sizeof(BrScratch::Outcome);
-  total += br_rows_.rows.footprint_bytes();
-  total += br_rows_.undo.capacity() * sizeof(std::pair<int, double>);
-  total += br_rows_.dist.capacity() * sizeof(double);
+  total += br_branch_.undo.capacity() * sizeof(std::pair<int, double>);
+  total += br_branch_.dist.capacity() * sizeof(double);
   total += ladder_.cand.capacity() * sizeof(int);
-  total += (ladder_.cand_w.capacity() + ladder_.base_dist.capacity() +
-            ladder_.host_row.capacity() + ladder_.weight_row.capacity()) *
-           sizeof(double);
-  total += ladder_.in_cand.capacity() * sizeof(char);
-  total += ladder_.rows.footprint_bytes();
   total += ladder_.sssp.footprint_bytes();
   total += ladder_.thresholds.capacity() * sizeof(double);
   total += ladder_.floors.footprint_bytes();

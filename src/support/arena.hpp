@@ -6,13 +6,17 @@
 // to_vector(), DFS stacks, candidate/weight rows).  ScratchArena gathers all
 // of that per-thread state into one object:
 //
-//   * the binary-heap and bucket-queue Dijkstra workspaces,
+//   * the binary-heap and bucket-queue Dijkstra workspaces, behind the one
+//     kernel selector sssp_into,
 //   * the IncrementalSssp instance that builds best-response facility rows,
-//   * the best-response facility rows and branch min-merge state,
 //   * the deviation engine's scan scratch (owned-target list, side marks,
 //     DFS stack, distance-sum vector, host-weight row, addition-sum memo)
 //     and its row-repair scratch,
-//   * the best-response driver's candidate/weight/base-distance rows.
+//   * the best-response search setup (core/br_search.hpp BrSearchSetup:
+//     candidates, base vector, host row, facility rows), shared by the
+//     exact search and the approximate ladder, plus the search's driver
+//     and branch scratch,
+//   * the approximate ladder's greedy state.
 //
 // `worker_arena()` hands the calling thread its arena, creating and
 // registering it on first use.  The worker pool's threads persist for the
@@ -26,15 +30,17 @@
 // owning thread ever touches it.  Code holding one arena reference must not
 // hand it to another thread, and nested users of the same thread must use
 // disjoint members (the engine's scan path uses scan buffers + a Dijkstra
-// workspace; best-response branches use the row partition's branch half and
-// row builds the IncrementalSssp -- the members are partitioned so no hot
-// path aliases another's buffer).
+// workspace; a best-response search reads the setup its caller prepared,
+// its branches use the branch partition and its row builds the
+// IncrementalSssp -- the members are partitioned so no hot path aliases
+// another's buffer).
 #pragma once
 
 #include <cstddef>
 #include <utility>
 #include <vector>
 
+#include "core/br_search.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/improvement_rows.hpp"
 #include "graph/incremental_sssp.hpp"
@@ -44,14 +50,25 @@ namespace gncg {
 
 class ScratchArena {
  public:
-  /// Binary-heap Dijkstra workspace (general weights).
-  DijkstraBuffers& dijkstra() { return dijkstra_; }
+  /// SSSP from `source` into `dist` with this arena's workspaces: the
+  /// bucket-queue kernel when `dial_bound` > 0 (HostGraph::dial_weight_bound
+  /// certified integer weights up to it), the binary heap otherwise.  Both
+  /// give bitwise-equal distances; this is the one place that picks between
+  /// them.
+  template <class NeighborFn>
+  void sssp_into(std::vector<double>& dist, int n, int source, int dial_bound,
+                 NeighborFn&& neighbor_fn) {
+    if (dial_bound > 0) {
+      dial_.run_into(dist, n, source, dial_bound,
+                     std::forward<NeighborFn>(neighbor_fn));
+    } else {
+      dijkstra_.run_into(dist, n, source,
+                         std::forward<NeighborFn>(neighbor_fn));
+    }
+  }
 
-  /// Bucket-queue Dijkstra workspace (integer-weight hosts).
-  DialBuffers& dial() { return dial_; }
-
-  /// Incremental SSSP: exact best-response row builds (the build pass that
-  /// precedes the branch fan-out) and bounded best-response DFS branches.
+  /// Incremental SSSP: best-response facility-row builds (the parallel
+  /// pass that precedes the branch fan-out).
   IncrementalSssp& incremental_sssp() { return sssp_; }
 
   /// Distance vector for sum-only SSSP queries (masked scans, strategy
@@ -90,15 +107,17 @@ class ScratchArena {
   };
   RepairScratch& repair() { return repair_; }
 
-  // --- best-response driver scratch ---
+  // --- best-response search (core/br_search.cpp) ---
+  //
+  // The driver partition: the setup (prepared by br_search_sum / br_search_max,
+  // or by the approximate ladder for both of its tiers; its row table is
+  // filled by a parallel pass, slot i written only by the task building
+  // row i) and the search's floor table and outcome slots.  Read-only
+  // during the branch fan-out except outcome slot i, which belongs to
+  // branch i.
 
   struct BrScratch {
-    std::vector<std::pair<double, int>> order;  ///< (key, node) branch order
-    std::vector<int> candidates;                ///< candidate purchase targets
-    std::vector<double> weights;                ///< edge weight per candidate
-    std::vector<double> base_dist;              ///< SSSP from the empty set
-    std::vector<double> host_row;               ///< host distances from u
-    std::vector<double> weight_row;             ///< buy weights from u
+    BrSearchSetup setup;
     std::vector<double> thresholds;  ///< bounded-mode floor thresholds
     RowFloor floors;                 ///< bounded-mode canonical-sum brackets
     /// Result of one first-level branch.  Slot i is written only by branch
@@ -115,41 +134,24 @@ class ScratchArena {
   };
   BrScratch& br() { return br_; }
 
-  // --- best-response facility rows (core/br_search.cpp) ---
-  //
-  // Disjoint from BrScratch and the IncrementalSssp.  Two owners: the
-  // driver's row table, filled by a parallel build pass (slot i written
-  // only by the task building row i) and read-only during the branch
-  // fan-out that follows, and the branch half, which belongs to the branch
-  // running on this thread.
-
-  struct BrRowScratch {
-    /// Row table: one single-insert improvement row per candidate, built in
-    /// parallel; the table never shrinks, so every slot keeps its storage
-    /// across searches.
-    ImprovementRows rows;
-    // Branch half.
+  /// The branch partition: distance vector, undo log and chosen targets of
+  /// the best-response branch running on this thread.
+  struct BrBranchScratch {
     std::vector<double> dist;                  ///< min-merged distances
     std::vector<std::pair<int, double>> undo;  ///< (node, overwritten value)
     NodeSet current;                           ///< chosen candidate targets
   };
-  BrRowScratch& br_rows() { return br_rows_; }
+  BrBranchScratch& br_branch() { return br_branch_; }
 
   // --- approximate-BR ladder scratch (core/approx_br.cpp) ---
   //
-  // Disjoint from BrScratch and the shared IncrementalSssp on purpose: the
-  // ladder's tier 2 nests a full br_search call, which owns those members
-  // for its duration -- the ladder must keep its candidate rows and greedy
-  // repair state alive across that call.
+  // The ladder searches over BrScratch::setup; these members hold what only
+  // its tier 1 keeps, disjoint from the search's driver and branch scratch
+  // and from the shared IncrementalSssp, so the greedy state stays alive
+  // across tier 2's search.
 
   struct LadderScratch {
     std::vector<int> cand;          ///< oracle candidate shortlist
-    std::vector<double> cand_w;     ///< edge weight per candidate
-    std::vector<double> base_dist;  ///< SSSP from the empty strategy
-    std::vector<double> host_row;   ///< host distances from u
-    std::vector<double> weight_row; ///< buy weights by node id
-    std::vector<char> in_cand;      ///< candidate membership by node id
-    ImprovementRows rows;           ///< one row per shortlist candidate
     IncrementalSssp sssp;           ///< tier-1 greedy's exact vector
     std::vector<double> thresholds; ///< tier-1 floor thresholds per round
     RowFloor floors;                ///< tier-1 probe brackets per round
@@ -173,7 +175,7 @@ class ScratchArena {
   std::vector<int> dfs_stack_;
   RepairScratch repair_;
   BrScratch br_;
-  BrRowScratch br_rows_;
+  BrBranchScratch br_branch_;
   LadderScratch ladder_;
   std::vector<double> scan_weights_;
   std::vector<double> scan_memo_;

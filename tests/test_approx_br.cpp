@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "metric/host_graph.hpp"
 #include "metric/points.hpp"
 #include "metric/spatial_index.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 
@@ -454,6 +456,94 @@ TEST(ApproxLadder, RepairCapZeroIsBitwiseIdentity) {
     }
   }
   EXPECT_EQ(next, kGolden.size());
+}
+
+TEST(ApproxLadder, ThreadCountInvariant) {
+  // The ladder's row build and tier 2's branch fan-out run on the worker
+  // pool; its result must not depend on the pool size.  On euclidean hosts
+  // with shortlists past the row build's serial cutoff (32 rows) and
+  // shorter ones, exact (cap 0) and firing-cap rows, every agent's
+  // strategy, cost and lower-bound bits, tier, exactness and evaluation
+  // count must agree at 1 and 8 threads.  Two games: a sparse high-alpha
+  // tree start, and a low-alpha random start whose tier-2 branches are
+  // big enough to run concurrently.
+  struct Outcome {
+    std::vector<int> strategy;
+    std::uint64_t cost_bits;
+    std::uint64_t lower_bound_bits;
+    int tier;
+    bool exact;
+    std::uint64_t evaluations;
+  };
+  struct Config {
+    double alpha;
+    bool tree_start;
+    int short_budget;  ///< shortlists of short_budget + u % 4; u % 4 == 0: full
+  };
+  Rng rng(239);
+  const int n = 40;
+  for (const Config config : {Config{60.0, true, 5}, Config{8.0, false, 10}}) {
+    const Game game = random_euclidean_game(n, config.alpha, 2.0, rng);
+    StrategyProfile profile = config.tree_start
+                                  ? recursive_tree_profile(game, rng)
+                                  : random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 4, rng);
+    DeviationEngine engine(game, profile);
+    engine.warm_distances();
+    const auto run_all = [&](std::size_t cap) {
+      std::vector<Outcome> out;
+      for (int u = 0; u < n; ++u) {
+        ApproxBrOptions options;
+        options.budget = (u % 4 == 0) ? n - 1 : config.short_budget + u % 4;
+        options.repair_cap = cap;
+        options.incumbent = engine.agent_cost(u);
+        if (u % 2 == 0) options.current_dist = &engine.distances_warm(u);
+        const auto ladder = approx_best_response_ladder(engine, u, options);
+        Outcome o{{}, bits_of(ladder.cost), bits_of(ladder.lower_bound),
+                  ladder.tier, ladder.exact, ladder.evaluations};
+        ladder.strategy.for_each([&](int v) { o.strategy.push_back(v); });
+        out.push_back(std::move(o));
+      }
+      return out;
+    };
+    bool cap_fired = false;
+    int tier2_runs = 0;
+    std::vector<Outcome> exact_rows;
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{2}}) {
+      set_default_thread_count(1);
+      const std::vector<Outcome> one = run_all(cap);
+      set_default_thread_count(8);
+      const std::vector<Outcome> eight = run_all(cap);
+      set_default_thread_count(0);
+      for (int u = 0; u < n; ++u) {
+        const Outcome& a = one[static_cast<std::size_t>(u)];
+        const Outcome& b = eight[static_cast<std::size_t>(u)];
+        const std::string where = "alpha " + std::to_string(config.alpha) +
+                                  " cap " + std::to_string(cap) + " agent " +
+                                  std::to_string(u);
+        EXPECT_EQ(a.strategy, b.strategy) << where;
+        EXPECT_EQ(a.cost_bits, b.cost_bits) << where;
+        EXPECT_EQ(a.lower_bound_bits, b.lower_bound_bits) << where;
+        EXPECT_EQ(a.tier, b.tier) << where;
+        EXPECT_EQ(a.exact, b.exact) << where;
+        EXPECT_EQ(a.evaluations, b.evaluations) << where;
+        if (a.tier == 2) ++tier2_runs;
+      }
+      if (cap == 0) {
+        exact_rows = one;
+      } else {
+        for (int u = 0; u < n; ++u)
+          if (one[static_cast<std::size_t>(u)].evaluations !=
+              exact_rows[static_cast<std::size_t>(u)].evaluations)
+            cap_fired = true;
+      }
+    }
+    // The capped run must take a different path somewhere, or it never
+    // exercised truncated rows; tier 2 must run, or the fan-out went
+    // untested.
+    EXPECT_TRUE(cap_fired) << "alpha " << config.alpha;
+    EXPECT_GT(tier2_runs, 0) << "alpha " << config.alpha;
+  }
 }
 
 TEST(ApproxLadder, CertifyAgentsMatchesPerAgentWarmLadder) {
