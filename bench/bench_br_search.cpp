@@ -34,6 +34,7 @@
 #include "core/profile_gen.hpp"
 #include "metric/points.hpp"
 #include "metric/tree.hpp"
+#include "reference/naive_search.hpp"
 #include "support/arena.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -111,7 +112,7 @@ RunResult run_backend(const std::string& backend, int n, std::uint64_t stream,
   {
     const Stopwatch timer;
     for (std::size_t i = 0; i < agents.size(); ++i) {
-      BestResponseOptions options;
+      NaiveBrOptions options;
       options.incumbent = incumbents[i];
       options.first_improvement = true;
       if (naive_exact_best_response(game, profile, agents[i], options)
@@ -161,7 +162,7 @@ RunResult run_backend(const std::string& backend, int n, std::uint64_t stream,
   {
     const Stopwatch timer;
     for (int u : full) {
-      BestResponseOptions options;
+      NaiveBrOptions options;
       options.incumbent = engine.agent_cost(u);
       old_results.push_back(
           naive_exact_best_response(game, profile, u, options));

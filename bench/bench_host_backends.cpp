@@ -16,8 +16,7 @@
 //
 // Output is one JSON document on stdout (recorded as BENCH_host.json).
 // The process refuses to run from a non-optimized build (see --allow-debug):
-// recorded numbers from debug builds are how BENCH_engine.json originally
-// went wrong.
+// numbers recorded from a debug build mislead.
 #include <sys/resource.h>
 
 #include <cstdio>

@@ -10,6 +10,7 @@
 // argument, a demo instance is generated and its serialized form printed,
 // so the tool is self-documenting:
 //   game_runner --demo > host.txt && game_runner host.txt 2.0 --dot eq.dot
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -35,6 +36,18 @@ int run_demo() {
   return 0;
 }
 
+/// Writes one output file; on a file that cannot be opened or written,
+/// prints "cannot write <path>" and returns false.
+template <class Write>
+bool write_file(const std::string& path, Write&& write) {
+  std::ofstream file(path);
+  write(file);
+  file.close();
+  if (file) return true;
+  std::cerr << "cannot write " << path << "\n";
+  return false;
+}
+
 int usage() {
   std::cerr << "usage: game_runner <host-file> <alpha> [--rule br|single|"
                "umfl] [--seed S] [--out profile.txt] [--dot file.dot]\n"
@@ -50,6 +63,11 @@ int main(int argc, char** argv) {
   const std::string host_path = argv[1];
   double alpha = 0.0;
   if (!parse_number("alpha", argv[2], "a number", alpha)) return usage();
+  if (!(alpha > 0.0) || !std::isfinite(alpha)) {
+    std::cerr << "alpha must be positive and finite, got '" << argv[2]
+              << "'\n";
+    return usage();
+  }
   MoveRule rule = MoveRule::kBestResponse;
   std::uint64_t seed = 1;
   std::string out_path, dot_path;
@@ -114,15 +132,20 @@ int main(int argc, char** argv) {
     std::cout << "exact NE: "
               << (is_nash_equilibrium(game, profile) ? "yes" : "no") << "\n";
 
+  bool written = true;
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    save_profile(out, profile);
-    std::cout << "profile written to " << out_path << "\n";
+    if (write_file(out_path,
+                   [&](std::ostream& out) { save_profile(out, profile); }))
+      std::cout << "profile written to " << out_path << "\n";
+    else
+      written = false;
   }
   if (!dot_path.empty()) {
-    std::ofstream dot(dot_path);
-    write_dot(dot, game, profile);
-    std::cout << "DOT written to " << dot_path << "\n";
+    if (write_file(dot_path,
+                   [&](std::ostream& dot) { write_dot(dot, game, profile); }))
+      std::cout << "DOT written to " << dot_path << "\n";
+    else
+      written = false;
   }
-  return 0;
+  return written ? 0 : 1;
 }

@@ -57,6 +57,13 @@ Game sample_game(const std::string& model, int n, double alpha, Rng& rng) {
   return Game(random_metric_host(n, rng), alpha);
 }
 
+bool known_model(const std::string& model) {
+  for (const char* name :
+       {"one-two", "one-inf", "tree", "plane", "metric", "general"})
+    if (model == name) return true;
+  return false;
+}
+
 double paper_bound(const std::string& model, double alpha) {
   if (model == "general" || model == "one-inf")
     return paper::general_poa_upper(alpha);
@@ -220,7 +227,10 @@ int main(int argc, char** argv) {
   int n = 5;
   double alpha = 1.0;
   int seeds = 3;
-  if ((argc > 2 && !parse_number("n", argv[2], "an integer", n)) ||
+  const bool model_ok = known_model(model);
+  if (!model_ok) std::cerr << "unknown model '" << model << "'\n";
+  if (!model_ok ||
+      (argc > 2 && !parse_number("n", argv[2], "an integer", n)) ||
       (argc > 3 && !parse_number("alpha", argv[3], "a number", alpha)) ||
       (argc > 4 && !parse_number("seeds", argv[4], "an integer", seeds)) ||
       n < 2 || alpha <= 0.0 || seeds < 1) {

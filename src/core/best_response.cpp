@@ -35,121 +35,41 @@ AgentEnvironment::AgentEnvironment(const DeviationEngine& engine, int u)
   borrowed_profile_ = &engine.profile();
 }
 
-double AgentEnvironment::distance_cost_of(const NodeSet& targets) const {
-  const int n = game_->node_count();
-  return distance_sum_over(n, agent_, [&](int x, auto&& visit) {
-    for_neighbors(x, visit);
-    if (x == agent_) {
-      targets.for_each([&](int v) { visit(v, game_->weight(agent_, v)); });
+namespace {
+
+/// Neighbor callback of (environment + edges from the agent to `targets`).
+auto with_targets(const AgentEnvironment& env, const NodeSet& targets) {
+  return [&env, &targets](int x, auto&& visit) {
+    const int u = env.agent();
+    env.for_neighbors(x, visit);
+    if (x == u) {
+      targets.for_each([&](int v) { visit(v, env.game().weight(u, v)); });
     } else if (targets.contains(x)) {
-      visit(agent_, game_->weight(agent_, x));
+      visit(u, env.game().weight(u, x));
     }
-  });
+  };
+}
+
+}  // namespace
+
+double AgentEnvironment::distance_cost_of(const NodeSet& targets) const {
+  return distance_sum_over(game_->node_count(), agent_,
+                           with_targets(*this, targets));
+}
+
+double AgentEnvironment::eccentricity_of(const NodeSet& targets) const {
+  std::vector<double> dist;
+  dijkstra_over(game_->node_count(), agent_, with_targets(*this, targets),
+                dist);
+  double worst = 0.0;
+  for (double d : dist) worst = std::max(worst, d);
+  return worst;
 }
 
 double AgentEnvironment::cost_of(const NodeSet& targets) const {
   double edge_weight = 0.0;
   targets.for_each([&](int v) { edge_weight += game_->weight(agent_, v); });
   return game_->alpha() * edge_weight + distance_cost_of(targets);
-}
-
-namespace {
-
-/// DFS state of the pre-refactor exact search (one fresh Dijkstra per
-/// visited subset, sequential, global host-sum floor): kept verbatim as the
-/// differential-testing and benchmarking baseline for the incremental
-/// br_search engine.
-struct NaiveBrSearch {
-  const Game* game = nullptr;
-  const AgentEnvironment* env = nullptr;
-  int agent = 0;
-  std::vector<int> candidates;       // targets sorted by ascending weight
-  std::vector<double> weights;       // parallel edge weights
-  double dist_lower_bound = 0.0;     // sum_v d_H(agent, v)
-  double incumbent = kInf;           // original bound (improved = beat this)
-  bool first_improvement = false;
-  bool done = false;
-
-  NodeSet current;
-  double current_weight = 0.0;
-
-  BestResponseResult result;
-
-  void run() {
-    evaluate();
-    if (!done) descend(0);
-  }
-
-  void evaluate() {
-    const double cost =
-        game->alpha() * current_weight + env->distance_cost_of(current);
-    ++result.evaluations;
-    if (improves(cost, bound())) {
-      result.cost = cost;
-      result.strategy = current;
-      result.improved = improves(cost, incumbent);
-      if (first_improvement && result.improved) done = true;
-    }
-  }
-
-  double bound() const { return std::min(result.cost, incumbent); }
-
-  void descend(std::size_t start) {
-    for (std::size_t i = start; i < candidates.size() && !done; ++i) {
-      // Admissible lower bound for any superset containing candidate i:
-      // its edge cost alone plus the host-closure distance floor.  The
-      // candidate list is weight-sorted, so the first failure cuts the rest.
-      const double lb = game->alpha() * (current_weight + weights[i]) +
-                        dist_lower_bound;
-      if (!improves(lb, bound())) break;
-      current.insert(candidates[i]);
-      current_weight += weights[i];
-      evaluate();
-      if (!done) descend(i + 1);
-      current.erase(candidates[i]);
-      current_weight -= weights[i];
-    }
-  }
-};
-
-}  // namespace
-
-BestResponseResult naive_exact_best_response(const Game& game,
-                                             const StrategyProfile& s, int u,
-                                             const BestResponseOptions& options) {
-  const AgentEnvironment env(game, s, u);
-  NaiveBrSearch search;
-  search.game = &game;
-  search.env = &env;
-  search.agent = u;
-  search.incumbent = options.incumbent;
-  search.first_improvement = options.first_improvement;
-  // Admissible pruning floor (the closure row sum: stored closure on dense
-  // hosts, one O(n) row per call on implicit ones; see the host-backend
-  // query contract in metric/host_backend.hpp).
-  search.dist_lower_bound = game.host_distance_sum(u);
-  search.current = NodeSet(game.node_count());
-  search.result.strategy = NodeSet(game.node_count());
-
-  // Candidate targets: every node u may buy towards, sorted by edge weight
-  // so the branch-and-bound cut is monotone.
-  std::vector<std::pair<double, int>> order;
-  for (int v = 0; v < game.node_count(); ++v)
-    if (game.can_buy(u, v)) order.emplace_back(game.weight(u, v), v);
-  std::sort(order.begin(), order.end());
-  for (const auto& [w, v] : order) {
-    search.candidates.push_back(v);
-    search.weights.push_back(w);
-  }
-
-  search.run();
-
-  // A full search (infinite incumbent) always reports the argmin, even when
-  // every strategy costs kInf (hosts that cannot connect u at all).
-  if (!(search.result.cost < kInf) && !(options.incumbent < kInf)) {
-    search.result.cost = env.cost_of(search.result.strategy);
-  }
-  return search.result;
 }
 
 BestResponseResult exact_best_response(const Game& game,
@@ -185,76 +105,6 @@ bool has_improving_deviation(DeviationEngine& engine, int u) {
   return exact_best_response(engine, u, options).improved;
 }
 
-namespace {
-
-/// Which single-move families a scan considers.
-struct MoveScanFlags {
-  bool adds = false;
-  bool deletes = false;
-  bool swaps = false;
-};
-
-/// Shared implementation of the single-move scans.
-SingleMoveResult scan_single_moves(const Game& game, const StrategyProfile& s,
-                                   int u, const MoveScanFlags& flags) {
-  const AgentEnvironment env(game, s, u);
-  const int n = game.node_count();
-
-  NodeSet current(n);
-  s.strategy(u).for_each([&](int v) { current.insert(v); });
-
-  SingleMoveResult result;
-  result.current_cost = env.cost_of(current);
-  result.cost = result.current_cost;
-
-  auto consider = [&](const SingleMove& move, const NodeSet& candidate) {
-    const double cost = env.cost_of(candidate);
-    if (improves(cost, result.cost)) {
-      result.cost = cost;
-      result.move = move;
-      result.improved = true;
-    }
-  };
-
-  NodeSet working = current;
-  if (flags.adds) {
-    // Additions: buy towards a node with no incident built edge to u yet
-    // (buying an edge that already exists is never strictly improving).
-    for (int v = 0; v < n; ++v) {
-      if (v == u || !game.can_buy(u, v) || s.has_edge(u, v)) continue;
-      working.insert(v);
-      consider({MoveType::kAdd, -1, v}, working);
-      working.erase(v);
-    }
-  }
-
-  if (flags.deletes || flags.swaps) {
-    const auto owned = s.strategy(u).to_vector();
-    for (int v : owned) {
-      working.erase(v);
-      if (flags.deletes) consider({MoveType::kDelete, v, -1}, working);
-      if (flags.swaps) {
-        // Swaps (u, v) -> (u, x).  Swapping to an already-present edge is
-        // dominated by the plain deletion, so such x are skipped when
-        // deletions are in the move set; for swap-only scans they must be
-        // considered (they are the only way to shed a redundant edge).
-        for (int x = 0; x < n; ++x) {
-          if (x == u || x == v || !game.can_buy(u, x)) continue;
-          if (flags.deletes && s.has_edge(u, x)) continue;
-          if (!flags.deletes && s.strategy(u).contains(x)) continue;
-          working.insert(x);
-          consider({MoveType::kSwap, v, x}, working);
-          working.erase(x);
-        }
-      }
-      working.insert(v);
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
 SingleMoveResult best_single_move(const Game& game, const StrategyProfile& s,
                                   int u) {
   DeviationEngine engine(game, s);
@@ -270,21 +120,6 @@ SingleMoveResult best_addition(const Game& game, const StrategyProfile& s,
 SingleMoveResult best_swap(const Game& game, const StrategyProfile& s, int u) {
   DeviationEngine engine(game, s);
   return engine.best_swap(u);
-}
-
-SingleMoveResult naive_best_single_move(const Game& game,
-                                        const StrategyProfile& s, int u) {
-  return scan_single_moves(game, s, u, {true, true, true});
-}
-
-SingleMoveResult naive_best_addition(const Game& game,
-                                     const StrategyProfile& s, int u) {
-  return scan_single_moves(game, s, u, {true, false, false});
-}
-
-SingleMoveResult naive_best_swap(const Game& game, const StrategyProfile& s,
-                                 int u) {
-  return scan_single_moves(game, s, u, {false, false, true});
 }
 
 void apply_move(StrategyProfile& s, int u, const SingleMove& move) {

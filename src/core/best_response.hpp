@@ -12,7 +12,8 @@
 // The production search is the incremental branch-and-bound engine in
 // core/br_search.hpp (in-DFS distance maintenance, per-node floors,
 // deterministic parallel fan-out); the pre-refactor per-subset-Dijkstra
-// search survives as naive_exact_best_response, the differential baseline.
+// search survives outside the library as the differential baseline
+// (tests/reference/naive_search.hpp).
 //
 // Alongside the exact solver live the single-move evaluators (add / delete /
 // swap) that define Greedy and Add-only Equilibria (Lenzner'12 as cited by
@@ -78,6 +79,10 @@ class AgentEnvironment {
 
   /// Distance-cost only variant (shared by cost_of and the searches).
   double distance_cost_of(const NodeSet& targets) const;
+
+  /// Weighted eccentricity of the agent in (environment + candidate edges):
+  /// the distance term of the MAX variant (variants/max_game.hpp).
+  double eccentricity_of(const NodeSet& targets) const;
 
  private:
   const Game* game_;
@@ -165,15 +170,6 @@ void exact_best_response(const DeviationEngine& engine, int u,
                          const BestResponseOptions& options,
                          BestResponseResult& result);
 
-/// Pre-refactor reference search: one fresh Dijkstra per visited candidate
-/// subset over the AgentEnvironment, sequential, global host-sum floor
-/// only.  The differential-testing and benchmarking baseline for the
-/// incremental br_search engine (same contract as the naive_* single-move
-/// scans below); production callers use exact_best_response.
-BestResponseResult naive_exact_best_response(
-    const Game& game, const StrategyProfile& s, int u,
-    const BestResponseOptions& options = {});
-
 /// True when agent u has *any* strategy strictly cheaper than its current
 /// one (early-exit exact search).
 bool has_improving_deviation(const Game& game, const StrategyProfile& s, int u);
@@ -211,17 +207,6 @@ SingleMoveResult best_addition(const Game& game, const StrategyProfile& s,
 /// Best edge *swap* only (the move set of swap/asymmetric-swap equilibria
 /// from the basic network creation games the paper builds on).
 SingleMoveResult best_swap(const Game& game, const StrategyProfile& s, int u);
-
-/// Naive reference scans: one fresh Dijkstra per candidate move over the
-/// AgentEnvironment, no caching and no delta evaluation.  These are the
-/// differential-testing and benchmarking baselines for the DeviationEngine;
-/// production callers should use the engine-backed functions above.
-SingleMoveResult naive_best_single_move(const Game& game,
-                                        const StrategyProfile& s, int u);
-SingleMoveResult naive_best_addition(const Game& game,
-                                     const StrategyProfile& s, int u);
-SingleMoveResult naive_best_swap(const Game& game, const StrategyProfile& s,
-                                 int u);
 
 /// Applies `move` to agent u's strategy in place.
 void apply_move(StrategyProfile& s, int u, const SingleMove& move);

@@ -282,7 +282,7 @@ void run_search(const AgentEnvironment& env, BrSearchSetup& setup,
   const std::vector<double>& host_row = setup.host_row;
   // Global floor: the distance term of the host row itself (O(n); SUM adds
   // the row in increasing v order, bitwise equal to host_distance_sum(u) by
-  // the backend contract -- the naive search's dist_lower_bound).
+  // the backend contract -- the naive reference search's floor).
   const double cheap_floor = Model::distance_term(host_row);
 
   result.strategy.reset(n);

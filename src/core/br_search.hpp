@@ -58,10 +58,10 @@
 //    result could never win the fold), so `evaluations` alone may vary with
 //    timing in that mode; strategy/cost/improved never do.
 //
-// Bit-compatibility with the naive per-subset-Dijkstra search
-// (naive_exact_best_response / naive_max_exact_best_response) is the
-// contract: identical strategies on hosts whose distinct costs are
-// separated by more than the improves() slack (unit, 1-2, integer weights;
+// Bit-compatibility with the naive per-subset-Dijkstra search (the frozen
+// reference in tests/reference/naive_search.hpp) is the contract: identical
+// strategies on hosts whose distinct costs are separated by more than the
+// improves() slack (unit, 1-2, integer weights;
 // real-weight near-ties agree to ~1e-12 relative), with one deliberate
 // strengthening on the cost itself -- evaluation here is *canonical* (the
 // edge-weight term is re-summed per subset in increasing target order), so

@@ -50,9 +50,10 @@
 // from the binary heap to the bucket-queue ("dial") Dijkstra -- distances
 // are bit-identical either way.
 //
-// Scan order and tie-breaking replicate the naive scan_single_moves exactly,
-// so on hosts whose weights sum exactly in doubles (unit, 1-2, integer
-// weights) the engine returns bit-identical costs and identical moves; on
+// Scan order and tie-breaking replicate the naive reference scans
+// (tests/reference/naive_search.hpp) exactly, so on hosts whose weights sum
+// exactly in doubles (unit, 1-2, integer weights) the engine returns
+// bit-identical costs and identical moves; on
 // real-weighted hosts results agree up to floating-point associativity (see
 // tests/test_deviation_engine.cpp for the differential contract).
 //
@@ -196,7 +197,7 @@ class DeviationEngine {
                                double weight, int n);
 
   /// Best single move / addition / swap of agent u.  Same semantics, scan
-  /// order and tie-breaking as the naive free functions.
+  /// order and tie-breaking as the naive reference scans.
   SingleMoveResult best_single_move(int u);
   SingleMoveResult best_addition(int u);
   SingleMoveResult best_swap(int u);

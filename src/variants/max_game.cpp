@@ -4,88 +4,15 @@
 
 #include "core/br_search.hpp"
 #include "core/deviation_engine.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/graph_algos.hpp"
 
 namespace gncg {
-
-namespace {
-
-/// Eccentricity of `u` in (environment + candidate edges) -- the
-/// egalitarian distance term of the naive reference path.
-double eccentricity_of(const Game& game, const AgentEnvironment& env, int u,
-                       const NodeSet& targets) {
-  std::vector<double> dist;
-  dijkstra_over(
-      game.node_count(), u,
-      [&](int x, auto&& visit) {
-        env.for_neighbors(x, visit);
-        if (x == u) {
-          targets.for_each([&](int v) { visit(v, game.weight(u, v)); });
-        } else if (targets.contains(x)) {
-          visit(u, game.weight(u, x));
-        }
-      },
-      dist);
-  double worst = 0.0;
-  for (double d : dist) worst = std::max(worst, d);
-  return worst;
-}
-
-/// Pruned DFS of the pre-refactor MAX search (fresh Dijkstra per subset,
-/// eccentricity floor only): the differential baseline for br_search_max.
-struct NaiveMaxBrSearch {
-  const Game* game = nullptr;
-  const AgentEnvironment* env = nullptr;
-  int agent = 0;
-  std::vector<int> candidates;
-  std::vector<double> weights;
-  double ecc_floor = 0.0;
-  double incumbent = kInf;
-  bool first_improvement = false;
-  bool done = false;
-
-  NodeSet current;
-  double current_weight = 0.0;
-  BestResponseResult result;
-
-  double bound() const { return std::min(result.cost, incumbent); }
-
-  void evaluate() {
-    const double cost = game->alpha() * current_weight +
-                        eccentricity_of(*game, *env, agent, current);
-    ++result.evaluations;
-    if (improves(cost, bound())) {
-      result.cost = cost;
-      result.strategy = current;
-      result.improved = improves(cost, incumbent);
-      if (first_improvement && result.improved) done = true;
-    }
-  }
-
-  void descend(std::size_t start) {
-    for (std::size_t i = start; i < candidates.size() && !done; ++i) {
-      const double lb =
-          game->alpha() * (current_weight + weights[i]) + ecc_floor;
-      if (!improves(lb, bound())) break;  // weight-sorted: rest are worse
-      current.insert(candidates[i]);
-      current_weight += weights[i];
-      evaluate();
-      if (!done) descend(i + 1);
-      current.erase(candidates[i]);
-      current_weight -= weights[i];
-    }
-  }
-};
-
-}  // namespace
 
 double max_agent_cost(const Game& game, const StrategyProfile& s, int u) {
   const AgentEnvironment env(game, s, u);
   double edge_weight = 0.0;
   s.strategy(u).for_each([&](int v) { edge_weight += game.weight(u, v); });
-  return game.alpha() * edge_weight +
-         eccentricity_of(game, env, u, s.strategy(u));
+  return game.alpha() * edge_weight + env.eccentricity_of(s.strategy(u));
 }
 
 double max_agent_cost(DeviationEngine& engine, int u) {
@@ -128,41 +55,6 @@ BestResponseResult max_exact_best_response(const DeviationEngine& engine,
                                            const BestResponseOptions& options) {
   const AgentEnvironment env(engine, u);
   return br_search_max(env, options);
-}
-
-BestResponseResult naive_max_exact_best_response(
-    const Game& game, const StrategyProfile& s, int u,
-    const BestResponseOptions& options) {
-  const AgentEnvironment env(game, s, u);
-
-  NaiveMaxBrSearch search;
-  search.game = &game;
-  search.env = &env;
-  search.agent = u;
-  search.incumbent = options.incumbent;
-  search.first_improvement = options.first_improvement;
-  search.current = NodeSet(game.node_count());
-  search.result.strategy = NodeSet(game.node_count());
-  // Any built network's eccentricity of u is at least the host-closure one.
-  for (int v = 0; v < game.node_count(); ++v)
-    search.ecc_floor = std::max(search.ecc_floor, game.host_distance(u, v));
-
-  std::vector<std::pair<double, int>> order;
-  for (int v = 0; v < game.node_count(); ++v)
-    if (game.can_buy(u, v)) order.emplace_back(game.weight(u, v), v);
-  std::sort(order.begin(), order.end());
-  for (const auto& [w, v] : order) {
-    search.candidates.push_back(v);
-    search.weights.push_back(w);
-  }
-
-  search.evaluate();
-  if (!search.done) search.descend(0);
-
-  if (!(search.result.cost < kInf) && !(options.incumbent < kInf)) {
-    search.result.cost = eccentricity_of(game, env, u, search.result.strategy);
-  }
-  return search.result;
 }
 
 bool max_has_improving_deviation(const Game& game, const StrategyProfile& s,

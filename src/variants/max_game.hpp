@@ -48,13 +48,6 @@ BestResponseResult max_exact_best_response(
     const DeviationEngine& engine, int u,
     const BestResponseOptions& options = {});
 
-/// Pre-refactor reference search (one fresh Dijkstra per visited subset,
-/// sequential): the differential-testing and benchmarking baseline for the
-/// shared driver, mirroring naive_exact_best_response.
-BestResponseResult naive_max_exact_best_response(
-    const Game& game, const StrategyProfile& s, int u,
-    const BestResponseOptions& options = {});
-
 /// True when agent u has a strictly cheaper egalitarian strategy.
 bool max_has_improving_deviation(const Game& game, const StrategyProfile& s,
                                  int u);

@@ -23,6 +23,7 @@
 #include "metric/host_graph.hpp"
 #include "metric/points.hpp"
 #include "metric/spatial_index.hpp"
+#include "reference/naive_search.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"

@@ -23,6 +23,7 @@
 #include "metric/host_graph.hpp"
 #include "metric/points.hpp"
 #include "metric/tree.hpp"
+#include "reference/naive_search.hpp"
 #include "support/instrument.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -276,7 +277,8 @@ TEST(BrSearchDifferential, CertificationMatchesNaiveAcrossBackends) {
       BestResponseOptions options;
       options.incumbent = agent_cost(game, profile, u);
       options.first_improvement = true;
-      const auto naive = naive_exact_best_response(game, profile, u, options);
+      const auto naive = naive_exact_best_response(
+          game, profile, u, {options.incumbent, options.first_improvement});
       const auto fast = exact_best_response(engine, u, options);
       EXPECT_EQ(fast.improved, naive.improved)
           << "trial " << trial << " agent " << u;
@@ -364,8 +366,8 @@ TEST(BrSearchDifferential, MaxSearchMatchesNaiveAcrossBackends) {
       BestResponseOptions options;
       options.incumbent = max_agent_cost(game, profile, u);
       options.first_improvement = true;
-      const auto naive_cert =
-          naive_max_exact_best_response(game, profile, u, options);
+      const auto naive_cert = naive_max_exact_best_response(
+          game, profile, u, {options.incumbent, options.first_improvement});
       const auto fast_cert = max_exact_best_response(engine, u, options);
       EXPECT_EQ(fast_cert.improved, naive_cert.improved)
           << "trial " << trial << " agent " << u;

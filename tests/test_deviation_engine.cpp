@@ -42,6 +42,7 @@
 #include "metric/host_graph.hpp"
 #include "metric/points.hpp"
 #include "metric/tree.hpp"
+#include "reference/naive_search.hpp"
 #include "support/instrument.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"

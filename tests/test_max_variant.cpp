@@ -5,6 +5,7 @@
 #include "core/deviation_engine.hpp"
 #include "core/dynamics.hpp"
 #include "metric/host_graph.hpp"
+#include "reference/naive_search.hpp"
 #include "support/rng.hpp"
 #include "variants/max_game.hpp"
 
@@ -172,7 +173,7 @@ TEST(MaxVariant, SharedDriverMatchesNaiveSearch) {
       EXPECT_EQ(via_engine.cost, fast.cost);
       EXPECT_TRUE(via_engine.strategy == naive.strategy);
 
-      BestResponseOptions options;
+      NaiveBrOptions options;
       options.incumbent = max_agent_cost(game, profile, u);
       options.first_improvement = true;
       const auto naive_cert =
