@@ -16,8 +16,9 @@
 //    touch.  Approx-ladder better-response dynamics over the spatial
 //    candidate oracle (run_restarts, round-robin), then a certified
 //    per-agent (beta, eps) sample on the reached profile: each sampled
-//    agent's current cost divided by the ladder's admissible escape
-//    lower bound.  Alongside the timings the section records the memory
+//    agent's current cost divided by the ladder's admissible lower bound
+//    (the escape bound after tier 2; tier 1's any-strategy bound for a
+//    call whose capped rows truncated, which stops at tier 1).  Alongside the timings the section records the memory
 //    story: DistanceMatrix::allocated_cells_total() must not move (the
 //    euclidean path never materializes O(n^2) state -- a nonzero delta
 //    aborts) and the worker-arena peak footprint is reported per node,
@@ -56,10 +57,10 @@ namespace {
 constexpr int kBudget = 8;       ///< spatial shortlist size per ladder call
 constexpr double kAlpha = 100.0; ///< edge price for every game in the bench
 /// Bounded-frontier repair cap for the large tier: every facility row the
-/// ladder builds truncates after this many distance writes, tier 1 ranks
-/// candidates by the rows' certified floors and tier 2 merges them; only
-/// adopted strategies pay full repairs.  0 would restore the exact-row
-/// ladder bit for bit.
+/// ladder builds truncates after this many distance writes and tier 1
+/// ranks candidates by the rows' certified floors; only adopted strategies
+/// pay full repairs, and a call with a truncated row ends after tier 1.
+/// 0 would restore the exact-row ladder bit for bit.
 constexpr std::size_t kRepairCap = 2048;
 
 Game make_geo_game(int n, Rng& rng) {

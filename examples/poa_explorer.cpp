@@ -27,6 +27,7 @@
 //    schema are unchanged.  Euclidean and tree hosts run implicitly (no
 //    O(n^2) matrix), so n in the thousands is fine:
 //      poa_explorer --host euclidean --n 4096 --seed 7 --rounds 3
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -55,6 +56,15 @@ Game sample_game(const std::string& model, int n, double alpha, Rng& rng) {
                 alpha);
   if (model == "general") return Game(random_general_host(n, rng), alpha);
   return Game(random_metric_host(n, rng), alpha);
+}
+
+/// The edge price must be positive and finite.  "nan" and "inf" parse as
+/// numbers, and a NaN passes an `alpha <= 0` test, so both are checked
+/// here before the Game constructor's contract sees them.
+bool alpha_ok(const std::string& text, double alpha) {
+  if (alpha > 0.0 && std::isfinite(alpha)) return true;
+  std::cerr << "alpha must be positive and finite, got '" << text << "'\n";
+  return false;
 }
 
 bool known_model(const std::string& model) {
@@ -136,10 +146,8 @@ int sweep_mode(const SweepOptions& options) {
               << " (want dense|lazy|euclidean|tree)\n";
     return 1;
   }
-  if (options.n < 2 || options.alpha <= 0.0 || options.rounds < 1 ||
-      options.agents < 1) {
-    std::cerr << "invalid sweep options (need n>=2, alpha>0, rounds>=1, "
-                 "agents>=1)\n";
+  if (options.n < 2 || options.rounds < 1 || options.agents < 1) {
+    std::cerr << "invalid sweep options (need n>=2, rounds>=1, agents>=1)\n";
     return 1;
   }
 
@@ -205,7 +213,8 @@ int main(int argc, char** argv) {
       else if (flag == "--seed")
         parsed = parse_number(flag, value, "an unsigned integer", options.seed);
       else if (flag == "--alpha")
-        parsed = parse_number(flag, value, "a number", options.alpha);
+        parsed = parse_number(flag, value, "a number", options.alpha) &&
+                 alpha_ok(value, options.alpha);
       else if (flag == "--rounds")
         parsed = parse_number(flag, value, "an integer", options.rounds);
       else if (flag == "--agents")
@@ -231,9 +240,10 @@ int main(int argc, char** argv) {
   if (!model_ok) std::cerr << "unknown model '" << model << "'\n";
   if (!model_ok ||
       (argc > 2 && !parse_number("n", argv[2], "an integer", n)) ||
-      (argc > 3 && !parse_number("alpha", argv[3], "a number", alpha)) ||
+      (argc > 3 && !(parse_number("alpha", argv[3], "a number", alpha) &&
+                     alpha_ok(argv[3], alpha))) ||
       (argc > 4 && !parse_number("seeds", argv[4], "an integer", seeds)) ||
-      n < 2 || alpha <= 0.0 || seeds < 1) {
+      n < 2 || seeds < 1) {
     std::cerr << "usage: poa_explorer [one-two|one-inf|tree|plane|metric|"
                  "general] [n>=2] [alpha>0] [seeds>=1]\n"
               << "   or: poa_explorer --host <dense|lazy|euclidean|tree> "

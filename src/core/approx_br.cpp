@@ -140,11 +140,6 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
     current.erase(v);
     return edge_sum;
   };
-  // Greedy commits in order: (change-log mark after the commit, candidate
-  // index), so tier 2's re-cost can restart from a committed prefix.
-  std::vector<std::pair<IncrementalSssp::Checkpoint, std::size_t>>& commits =
-      scratch.commits;
-  commits.clear();
   // Exact cost of `current` + cand[i], leaving the repair applied.
   const auto repaired_cost = [&](std::size_t i) {
     sssp.relax_insert(cand[i], setup.weights[i], environment_edges);
@@ -153,9 +148,7 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
            SumCostModel::distance_term(sssp.dist());
   };
   std::vector<double>& thresholds = scratch.thresholds;
-  const bool rows_exact =
-      std::none_of(rows.frontier.begin(), rows.frontier.end(),
-                   [](double frontier) { return frontier < kInf; });
+  const bool rows_exact = setup.rows_exact();
   if (rows_exact) {
     // Exact rows (always with cap 0): steepest descent, the historical rule
     // bit for bit, so a cap that never fires changes nothing.  Each round
@@ -188,7 +181,6 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
       current.insert(cand[i]);
       sssp.relax_insert(cand[i], setup.weights[i], environment_edges);
       current_cost = best_cost;
-      commits.emplace_back(sssp.checkpoint(), i);
     }
   } else {
     // Truncated rows: one pass in floor order (each candidate's floor alone
@@ -216,7 +208,6 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
       if (improves(cost, current_cost)) {
         current.insert(cand[i]);
         current_cost = cost;
-        commits.emplace_back(sssp.checkpoint(), i);
       } else {
         sssp.rollback(mark);
       }
@@ -244,59 +235,25 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   result.exact = !improves(result.lower_bound, result.cost);
   if (result.exact) result.beta = 1.0;
 
-  if (!result.exact) {
+  if (!result.exact && rows_exact) {
     // --- tier 2: exact search restricted to the shortlist ----------------
     //
     // Searches the ladder's setup (no second base Dijkstra, host scan or
-    // row build) and, under a repair cap, runs the bounded branch-and-bound:
-    // br.cost is then a certified lower bound on the restricted optimum
-    // whenever br.truncated, and the adopted strategy is re-costed by full
-    // repairs below, so result.cost stays an achieved cost.
+    // row build).  Only exact rows merge into distance vectors, so a call
+    // with a truncated row stops at tier 1 with tier 1's certificate.
     const double tier1_cost = result.cost;
     BestResponseResult br;
     br_search_sum(env, setup, tier1_cost, br);
     result.evaluations += br.evaluations;
     if (br.improved) {
-      if (br.truncated) {
-        // Re-cost the winning strategy exactly, from the longest prefix of
-        // tier-1 commits it contains: rolling the greedy's change log back
-        // to that commit restores its exact vector, and full repairs
-        // converge to the least fixpoint regardless of insertion order, so
-        // this matches the unbounded search's evaluation of the same subset
-        // bitwise.
-        std::size_t kept = 0;
-        while (kept < commits.size() &&
-               br.strategy.contains(cand[commits[kept].second]))
-          ++kept;
-        sssp.rollback(kept == 0 ? 0 : commits[kept - 1].first);
-        const auto committed = [&](int v) {
-          for (std::size_t j = 0; j < kept; ++j)
-            if (cand[commits[j].second] == v) return true;
-          return false;
-        };
-        br.strategy.for_each([&](int v) {
-          if (!committed(v))
-            sssp.relax_insert(v, setup.weight_row[static_cast<std::size_t>(v)],
-                              environment_edges);
-        });
-        const double achieved = game.alpha() * setup.edge_sum(br.strategy) +
-                                SumCostModel::distance_term(sssp.dist());
-        ++result.evaluations;
-        if (improves(achieved, result.cost)) {
-          result.cost = achieved;
-          result.strategy = br.strategy;
-        }
-      } else {
-        result.cost = br.cost;
-        result.strategy = br.strategy;
-      }
+      result.cost = br.cost;
+      result.strategy = br.strategy;
     }
     result.tier = 2;
 
     // Certificate composition.  Inside the shortlist every strategy costs
     // at least restricted_lb = min(br.cost, tier-1 cost): br.cost is the
-    // restricted optimum when exact, an admissible bound on it when the
-    // search was bounded, and a no-improvement outcome certifies the
+    // restricted optimum, and a no-improvement outcome certifies the
     // incumbent (the tier-1 cost) as the restricted floor.  Every escaping
     // strategy pays alpha * w_out_min plus the distance floor.  The
     // any-strategy tier-1 bound still applies, and the final bound is

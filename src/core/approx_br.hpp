@@ -16,17 +16,18 @@
 //  * Tier 1 -- greedy over the rows.  Starting from the empty strategy,
 //    repeatedly add a candidate edge that strictly decreases the cost.
 //    Each probe is an O(row) admissible floor (graph/improvement_rows.hpp
-//    RowFloor over the committed strategy's exact vector); only probes
-//    whose floor can win pay a full exact repair, and only an exact strict
-//    improvement commits (canonical cost evaluation as in br_search).  With
-//    exact rows (cap 0, or a cap that never fired) each round takes the
-//    best such candidate, in shortlist order on ties; with truncated rows
-//    one pass in floor order keeps every candidate that improves.
+//    RowFloor); only probes whose floor can win pay a full exact repair,
+//    and only an exact strict improvement commits (canonical cost
+//    evaluation as in br_search).  With exact rows (cap 0, or a cap that
+//    never fired) each round takes the best such candidate, in shortlist
+//    order on ties, probing over the committed strategy's exact vector;
+//    with truncated rows one pass in floor order (each row alone over the
+//    base vector) keeps every candidate that improves.
 //  * Tier 2 -- exact search restricted to the shortlist.  br_search over
 //    the ladder's setup: the true minimum c_C over strategies inside the
-//    candidate set C (a certified lower bound on it when a merged row was
-//    truncated).  Tier 2 runs only when tier 1 could not certify its result
-//    exact.
+//    candidate set C.  Tier 2 runs only when tier 1 could not certify its
+//    result exact and every row is exact: a call with a truncated row
+//    returns tier 1's strategy with tier 1's any-strategy certificate.
 //
 // Certification.  Every tier reports an admissible lower bound LB on the
 // *unrestricted* best-response cost and beta = cost / LB.  The bound is the
@@ -66,10 +67,11 @@ struct ApproxBrOptions {
   /// Bounded-frontier repair cap (graph/incremental_sssp.hpp): with a
   /// positive cap, every facility row stops after `repair_cap` distance
   /// overwrites and keeps its frontier key.  Truncated rows yield certified
-  /// *underestimates* used only for ranking and pruning; every adopted
-  /// strategy is re-costed by full repairs, so `cost` stays an achieved
-  /// (canonical) cost and the certificates stay admissible.  0 = exact rows
-  /// everywhere (the historical ladder, bit-for-bit).
+  /// *underestimates* used only to rank and skip tier-1 probes; a strategy
+  /// is adopted only after a full exact repair, so `cost` stays an achieved
+  /// (canonical) cost.  A call with any truncated row ends after tier 1.
+  /// 0 = exact rows everywhere (the historical ladder, bit-for-bit), as is
+  /// a cap that never fires.
   std::size_t repair_cap = 0;
 
   /// Agent u's SSSP row in the *current built network* (including u's own

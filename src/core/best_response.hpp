@@ -107,20 +107,12 @@ struct BestResponseResult {
   double cost = kInf;             ///< agent cost of that deviation
   bool improved = false;          ///< beat the incumbent bound strictly
   std::uint64_t evaluations = 0;  ///< number of candidate evaluations
-  /// True when a row merged into the returned optimum was truncated by the
-  /// bounded-frontier cap (repair_cap > 0): `cost` is then a certified
-  /// *lower bound* on the true cost of `strategy` (and of the restricted
-  /// optimum), not an achieved cost.  Callers must re-cost the strategy
-  /// exactly before adopting it.  Always false when repair_cap is 0, where
-  /// `cost` is the exact (restricted) optimum.
-  bool truncated = false;
 };
 
 /// Options for the exact search.  The search's inputs (candidates, base
 /// vector, host row, facility rows) are built in one place from the
-/// environment, restrict_targets and repair_cap (core/br_search.hpp
-/// prepare_br_setup); incumbent and first_improvement steer the search
-/// over them.
+/// environment and restrict_targets (core/br_search.hpp prepare_br_setup);
+/// incumbent and first_improvement steer the search over them.
 struct BestResponseOptions {
   /// Pruning bound: subtrees that cannot strictly beat it are cut.  Pass the
   /// agent's current cost for equilibrium checks; kInf for a full argmin.
@@ -139,16 +131,6 @@ struct BestResponseOptions {
   /// result is bit-identical to the unrestricted search (the differential
   /// gate in tests/test_approx_br.cpp).  The pointee must outlive the call.
   const std::vector<int>* restrict_targets = nullptr;
-
-  /// Bounded-frontier mode: cap on distance overwrites per facility-row
-  /// build (graph/incremental_sssp.hpp FrontierPolicy).  0 = exact search
-  /// (the historical behavior, bit-for-bit).  With a positive cap, a subset
-  /// whose merged rows include a truncated one is costed by the admissible
-  /// floor sum_t max(host(t), min(dist(t), PF)) instead of the distance sum
-  /// (PF the smallest truncation key among its rows), so the returned cost
-  /// is a certified lower bound whenever BestResponseResult::truncated is
-  /// set (and still the exact optimum when no row of the winner truncated).
-  std::size_t repair_cap = 0;
 };
 
 /// Exact best response of agent u against the rest of profile `s`.

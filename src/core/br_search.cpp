@@ -19,8 +19,6 @@ namespace {
 
 /// MAX objective: eccentricity instead of the sum (order-insensitive).
 struct MaxCostModel {
-  static constexpr bool kRowFloors = false;
-
   static double distance_term(const std::vector<double>& dist) {
     double worst = 0.0;
     for (double d : dist) worst = std::max(worst, d);
@@ -43,10 +41,8 @@ struct MaxCostModel {
 /// chosen candidate index is `branch`.  Owns its distance state and writes
 /// its result into its own outcome slot; shares nothing mutable, so
 /// branches run concurrently and the fold over branch outcomes is
-/// independent of thread count.  `Bracketed` selects the RowFloor
-/// shortcuts of capped-row SUM searches at compile time, so the exact
-/// search's per-node loop carries none of their branches.
-template <class Model, bool Bracketed>
+/// independent of thread count.
+template <class Model>
 struct BranchSearch {
   const Game* game = nullptr;
   /// The driver's setup, read-only during the fan-out: candidates, their
@@ -69,28 +65,11 @@ struct BranchSearch {
   bool done = false;
 
   /// This branch's distance vector and min-merge undo log over the setup's
-  /// row table.  Inserting candidate i lowers dist to
+  /// exact row table: d_S itself.  Inserting candidate i lowers dist to
   /// min(dist, row_i) and logs every overwrite; removing it replays the log
-  /// back to the insert's mark.  `path_frontier` is the minimum truncation
-  /// key over the rows still on the DFS path (kInf while every one is
-  /// exact): true(t) >= min(dist(t), path_frontier) for every node t
-  /// (graph/improvement_rows.hpp).  Saved/restored around each descend
-  /// step like the undo mark.
+  /// back to the insert's mark.
   std::vector<double>* dist = nullptr;
   std::vector<std::pair<int, double>>* undo = nullptr;
-  double path_frontier = kInf;
-
-  /// Bracketed instantiation (capped-row SUM searches) only: brackets of
-  /// the canonical sums in O(entries merged), keyed by the base vector.
-  /// Otherwise every evaluation and per-node floor takes its O(n) canonical
-  /// pass, and exact mode compiles to that plain loop alone.
-  /// `eval_delta` is the bracket delta of the merged vector at threshold
-  /// path_frontier (the evaluation's); insert() folds its logged writes into
-  /// it, so an evaluation costs O(1) unless the insert lowered the path
-  /// frontier, which recomputes it in O(entries merged).  Saved/restored
-  /// with path_frontier.
-  const RowFloor* floors = nullptr;
-  double eval_delta = 0.0;
 
   double bound() const { return std::min(out->cost, base_bound); }
 
@@ -110,44 +89,23 @@ struct BranchSearch {
     // would carry path-dependent rounding noise (which subtrees were
     // explored before reaching this node), the pre-refactor search's
     // cost-vs-cost_of ulp mismatch.
-    const double edge_cost = game->alpha() * setup->edge_sum(*current);
+    const double cost = game->alpha() * setup->edge_sum(*current) +
+                        Model::distance_term(*dist);
     ++out->evaluations;
     GNCG_COUNT(kBrEvaluations);
-    // A subset whose bracketed cost cannot be recorded skips the O(n) sum:
-    // the canonical cost is >= the bracket's low end.
-    if constexpr (Bracketed) {
-      if (!improves(edge_cost + floors->bracket(path_frontier, eval_delta,
-                                                undo->size())
-                                    .lo,
-                    bound()))
-        return;
-    }
-    // With a truncated row on the path the merged vector is only an upper
-    // bound, so the recorded value is the admissible floor
-    // sum_t max(host(t), min(dist(t), path_frontier)) -- a certified lower
-    // bound on the subset's true cost.  Without one, the vector is the exact
-    // fixpoint and the plain distance term keeps the cap-0 path bitwise
-    // identical (max(host, dist) could differ from dist in the last ulp).
-    const bool lower_bound_only = path_frontier < kInf;
-    const double dist_term =
-        lower_bound_only ? Model::tight_floor(setup->host_row, *dist,
-                                              path_frontier)
-                         : Model::distance_term(*dist);
-    if constexpr (Bracketed) GNCG_COUNT(kBrFullSums);
-    const double cost = edge_cost + dist_term;
     if (improves(cost, bound())) {
       out->cost = cost;
       out->strategy = *current;
       out->improved = improves(cost, incumbent);
-      out->truncated = lower_bound_only;
       if (first_improvement && out->improved) done = true;
     }
   }
 
   /// Two-level admissible cut for the subtree rooted at candidate i: the
-  /// O(1) global floor first, then the per-node floor.  Both are
-  /// nondecreasing in the candidate weight, so on the weight-sorted list a
-  /// failure cuts every later sibling too (the caller breaks).
+  /// O(1) global floor first, then the per-node floor at w_next = w_i.
+  /// Both are nondecreasing in the candidate weight, so on the
+  /// weight-sorted list a failure cuts every later sibling too (the caller
+  /// breaks).
   bool pruned(std::size_t i) const {
     const double b = bound();
     const double w = setup->weights[i];
@@ -156,27 +114,8 @@ struct BranchSearch {
       GNCG_COUNT(kBrPrunesGlobal);
       return true;
     }
-    // The merged vector may be an upper bound (truncated rows on the path),
-    // so the per-node floor also clamps at the path frontier: any true
-    // distance is >= min(dist(t), path_frontier), and a new edge still
-    // costs at least w_next.  Without truncation the threshold is w_next.
-    const double theta = std::min(w, path_frontier);
-    if constexpr (Bracketed) {
-      // Decide from the bracket when it settles the canonical comparison.
-      // Merged rows only lower terms, so the base sum alone is an upper
-      // end: when even it cannot prune, the O(entries) deltas are skipped.
-      if (improves(edge_cost + floors->bracket(theta, 0.0, 0).hi, b))
-        return false;
-      const RowFloor::Interval floor = floors->merged(theta, *dist, *undo);
-      if (!improves(edge_cost + floor.lo, b)) {
-        GNCG_COUNT(kBrPrunesPerNode);
-        return true;
-      }
-      if (improves(edge_cost + floor.hi, b)) return false;
-      GNCG_COUNT(kBrFullSums);
-    }
-    if (!improves(
-            edge_cost + Model::tight_floor(setup->host_row, *dist, theta), b)) {
+    if (!improves(edge_cost + Model::tight_floor(setup->host_row, *dist, w),
+                  b)) {
       GNCG_COUNT(kBrPrunesPerNode);
       return true;
     }
@@ -186,49 +125,27 @@ struct BranchSearch {
   /// dist <- min(dist, row_i), logging every overwrite.
   void insert(std::size_t i) {
     GNCG_COUNT(kBrExpansions);
-    const ImprovementRows& rows = setup->rows;
     current->insert(setup->candidates[i]);
     current_weight += setup->weights[i];
-    const double frontier_before = path_frontier;
-    path_frontier = std::min(path_frontier, rows.frontier[i]);
     std::vector<double>& d = *dist;
     GNCG_IF_INSTRUMENT(const std::size_t mark = undo->size();)
-    if (Bracketed && path_frontier == frontier_before) {
-      const std::vector<double>& h = setup->host_row;
-      for (const auto& [t, row_t] : rows.entries[i]) {
-        const auto ti = static_cast<std::size_t>(t);
-        double& slot = d[ti];
-        if (row_t < slot) {
-          eval_delta += RowFloor::term(h[ti], row_t, path_frontier) -
-                        RowFloor::term(h[ti], slot, path_frontier);
-          undo->emplace_back(t, slot);
-          slot = row_t;
-        }
+    for (const auto& [t, row_t] : setup->rows.entries[i]) {
+      double& slot = d[static_cast<std::size_t>(t)];
+      if (row_t < slot) {
+        undo->emplace_back(t, slot);
+        slot = row_t;
       }
-    } else {
-      for (const auto& [t, row_t] : rows.entries[i]) {
-        double& slot = d[static_cast<std::size_t>(t)];
-        if (row_t < slot) {
-          undo->emplace_back(t, slot);
-          slot = row_t;
-        }
-      }
-      if constexpr (Bracketed)
-        eval_delta = floors->merged_delta(path_frontier, d, *undo);
     }
     GNCG_COUNT_N(kBrMergeWrites, undo->size() - mark);
   }
 
-  void remove(std::size_t i, std::size_t mark, double frontier_mark,
-              double delta_mark) {
+  void remove(std::size_t i, std::size_t mark) {
     std::vector<double>& d = *dist;
     while (undo->size() > mark) {
       const auto& [node, old_dist] = undo->back();
       d[static_cast<std::size_t>(node)] = old_dist;
       undo->pop_back();
     }
-    path_frontier = frontier_mark;
-    eval_delta = delta_mark;
     current->erase(setup->candidates[i]);
     current_weight -= setup->weights[i];
   }
@@ -237,12 +154,10 @@ struct BranchSearch {
   /// with larger indices, then backtracks.
   void expand(std::size_t i) {
     const std::size_t mark = undo->size();
-    const double frontier_mark = path_frontier;
-    const double delta_mark = eval_delta;
     insert(i);
     evaluate();
     if (!done) descend(i + 1);
-    remove(i, mark, frontier_mark, delta_mark);
+    remove(i, mark);
   }
 
   void descend(std::size_t start) {
@@ -288,7 +203,6 @@ void run_search(const AgentEnvironment& env, BrSearchSetup& setup,
   result.strategy.reset(n);
   result.cost = kInf;
   result.improved = false;
-  result.truncated = false;
   const double empty_cost = game.alpha() * 0.0 + Model::distance_term(base);
   result.evaluations = 1;
   GNCG_COUNT(kBrEvaluations);
@@ -303,41 +217,25 @@ void run_search(const AgentEnvironment& env, BrSearchSetup& setup,
   if (!done && k > 0) {
     const double base_bound = std::min(result.cost, incumbent);
 
-    // One improvement row per candidate, built once from the base vector
-    // (capped at repair_cap overwrites in bounded mode).  Only candidates
-    // passing the O(1) global entry cut need a row: the cut's floor only
-    // grows with the DFS weight and the bound only shrinks, so a candidate
-    // failing it at the root is never inserted at any depth (on the
-    // weight-sorted list they form a suffix).  The build is its own
-    // parallel pass, complete and read-only before the fan-out starts; a
-    // setup whose rows exist already (the ladder's) builds none.
+    // One exact improvement row per candidate, built once from the base
+    // vector.  Only candidates passing the O(1) global entry cut need a
+    // row: the cut's floor only grows with the DFS weight and the bound
+    // only shrinks, so a candidate failing it at the root is never inserted
+    // at any depth (on the weight-sorted list they form a suffix).  The
+    // build is its own parallel pass, complete and read-only before the
+    // fan-out starts; a setup whose rows exist already (the ladder's)
+    // builds none.
     std::size_t row_count = 0;
     while (row_count < k &&
            improves(game.alpha() * (0.0 + weights[row_count]) + cheap_floor,
                     base_bound))
       ++row_count;
     setup.build_rows(env, row_count);
-    const ImprovementRows& rows = setup.rows;
-
-    // Capped rows touch few nodes, so a SUM search brackets its O(n) sums
-    // from per-threshold base sums: every threshold a branch can ask for is
-    // a candidate weight or a row's truncation key (w_next, PF, or their
-    // min), or kInf (the plain sum while PF is kInf).  Exact rows are
-    // O(n)-sized, and exact mode keeps its plain passes.
-    const RowFloor* floors = nullptr;
-    if constexpr (Model::kRowFloors) {
-      if (setup.repair_cap > 0) {
-        std::vector<double>& thresholds = scratch.thresholds;
-        thresholds.assign(weights.begin(),
-                          weights.begin() + static_cast<std::ptrdiff_t>(
-                                                row_count));
-        thresholds.insert(thresholds.end(), rows.frontier.begin(),
-                          rows.frontier.begin() +
-                              static_cast<std::ptrdiff_t>(row_count));
-        scratch.floors.build(host_row, base, thresholds);
-        floors = &scratch.floors;
-      }
-    }
+    // The min-merge is d_S only over exact rows; a capped table that
+    // truncated belongs to the ladder's tier 1 alone.
+    GNCG_CHECK(setup.rows_exact(),
+               "br_search needs exact facility rows, but a row built under "
+               "repair_cap " << setup.repair_cap << " was truncated");
 
     std::vector<ScratchArena::BrScratch::Outcome>& outcomes =
         scratch.outcomes;
@@ -352,7 +250,6 @@ void run_search(const AgentEnvironment& env, BrSearchSetup& setup,
           out.cost = kInf;
           out.improved = false;
           out.evaluations = 0;
-          out.truncated = false;
           if (first_improvement &&
               winner.load(std::memory_order_relaxed) <
                   static_cast<int>(i)) {
@@ -360,50 +257,38 @@ void run_search(const AgentEnvironment& env, BrSearchSetup& setup,
             return;
           }
           // Entry cut against the base state (before paying the O(n)
-          // seed copy).  The bracket table's base sums are bitwise the
-          // canonical floors of the base vector.
+          // seed copy).
           const double entry_edge = game.alpha() * (0.0 + weights[i]);
           if (!improves(entry_edge + cheap_floor, base_bound)) {
             GNCG_COUNT(kBrPrunesGlobal);
             return;
           }
-          const double entry_floor =
-              floors != nullptr
-                  ? floors->reference_sum(weights[i])
-                  : Model::tight_floor(host_row, base, weights[i]);
-          if (!improves(entry_edge + entry_floor, base_bound)) {
+          if (!improves(entry_edge +
+                            Model::tight_floor(host_row, base, weights[i]),
+                        base_bound)) {
             GNCG_COUNT(kBrPrunesPerNode);
             return;
           }
 
           ScratchArena::BrBranchScratch& branch_state =
               worker_arena().br_branch();
-          const auto run_branch = [&](auto& search) {
-            search.game = &game;
-            search.setup = &setup;
-            search.cheap_floor = cheap_floor;
-            search.base_bound = base_bound;
-            search.incumbent = incumbent;
-            search.first_improvement = first_improvement;
-            search.branch = static_cast<int>(i);
-            if (first_improvement) search.winner = &winner;
-            search.out = &out;
-            search.current = &branch_state.current;
-            search.current->reset(n);
-            search.dist = &branch_state.dist;
-            search.undo = &branch_state.undo;
-            search.floors = floors;
-            *search.dist = base;
-            search.undo->clear();
-            search.expand(i);
-          };
-          if (floors != nullptr) {
-            BranchSearch<Model, true> search;
-            run_branch(search);
-          } else {
-            BranchSearch<Model, false> search;
-            run_branch(search);
-          }
+          BranchSearch<Model> search;
+          search.game = &game;
+          search.setup = &setup;
+          search.cheap_floor = cheap_floor;
+          search.base_bound = base_bound;
+          search.incumbent = incumbent;
+          search.first_improvement = first_improvement;
+          search.branch = static_cast<int>(i);
+          if (first_improvement) search.winner = &winner;
+          search.out = &out;
+          search.current = &branch_state.current;
+          search.current->reset(n);
+          search.dist = &branch_state.dist;
+          search.undo = &branch_state.undo;
+          *search.dist = base;
+          search.undo->clear();
+          search.expand(i);
 
           if (out.improved && first_improvement) {
             int expected = winner.load(std::memory_order_relaxed);
@@ -428,13 +313,11 @@ void run_search(const AgentEnvironment& env, BrSearchSetup& setup,
           result.cost = out.cost;
           result.strategy = out.strategy;
           result.improved = true;
-          result.truncated = out.truncated;
         }
       } else if (improves(out.cost, std::min(result.cost, incumbent))) {
         result.cost = out.cost;
         result.strategy = out.strategy;
         result.improved = improves(result.cost, incumbent);
-        result.truncated = out.truncated;
       }
     }
   }
@@ -452,7 +335,7 @@ void prepare_and_run(const AgentEnvironment& env,
                      const BestResponseOptions& options,
                      BestResponseResult& result) {
   BrSearchSetup& setup = worker_arena().br().setup;
-  prepare_br_setup(env, options.restrict_targets, options.repair_cap, setup);
+  prepare_br_setup(env, options.restrict_targets, /*repair_cap=*/0, setup);
   run_search<Model>(env, setup, options.incumbent, options.first_improvement,
                     result);
 }
@@ -508,6 +391,11 @@ void prepare_br_setup(const AgentEnvironment& env,
 
   setup.repair_cap = repair_cap;
   setup.rows.resize(0);
+}
+
+bool BrSearchSetup::rows_exact() const {
+  return std::none_of(rows.frontier.begin(), rows.frontier.end(),
+                      [](double frontier) { return frontier < kInf; });
 }
 
 void BrSearchSetup::build_rows(const AgentEnvironment& env,

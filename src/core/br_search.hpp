@@ -20,30 +20,17 @@
 //    its own distance vector: inserting c min-merges row_c with an undo
 //    log, and backtracking replays the log.  The rows are repairs *from u*,
 //    so their path sums round exactly as in a Dijkstra from u, and the min
-//    over rows is the multi-insert least fixpoint bit for bit.
-//    - Exact mode (repair_cap == 0) builds exact rows and evaluates each
-//      subset with one O(n) aggregation pass.
-//    - Bounded mode (repair_cap > 0, the approximate ladder's tier 2) builds
-//      the same rows under FrontierPolicy{node_cap = repair_cap}.  A
-//      truncated row records its frontier key F_c, the branch carries
-//      PF = min F_c over the rows on its DFS path (saved and restored
-//      around each descend), and a subset with PF < kInf is costed by the
-//      admissible floor sum_t max(d_H(u,t), min(d_S(t), PF)) and reported
-//      `truncated` (graph/improvement_rows.hpp has the invariant).  Under
-//      SUM its evaluations and per-node floors cost O(entries merged):
-//      RowFloor brackets each canonical sum from per-threshold sums over
-//      the base vector plus deltas over the touched nodes, and the O(n)
-//      canonical sum runs only when the bracket straddles the bound
-//      (counted by kBrFullSums).  Decisions, recorded costs and `evaluations` are
-//      therefore exactly those of the canonical sums; a cap that never
-//      fires reproduces exact mode bit for bit.
+//    over rows is the multi-insert least fixpoint bit for bit.  Each subset
+//    is evaluated with one O(n) aggregation pass.  The rows must be exact:
+//    a capped table that truncated is the approximate ladder's tier-1
+//    input only, and the search contract-checks it never receives one.
 //  * Two-level admissible pruning: the global floor cuts first, O(1) per
 //    candidate.  It is the distance term of u's host row, built once per
 //    search in O(n): the in-order row sum for SUM (bitwise equal to
 //    host_distance_sum(u) by the host-backend contract, with no all-pairs
 //    precompute on implicit backends), the host eccentricity for MAX.
 //    Surviving candidates face the tighter per-node floor
-//        sum/max over t of  max(d_H(u, t), min(d_S(t), w_next, PF)),
+//        sum/max over t of  max(d_H(u, t), min(d_S(t), w_next)),
 //    admissible because every path in a superset graph either avoids the
 //    new edges (length >= current d_S(t)) or starts with one (length >=
 //    w_next, the smallest remaining candidate weight; new edges are all
@@ -93,10 +80,6 @@ namespace gncg {
 // the MAX search only.
 
 struct SumCostModel {
-  /// The SUM floors decompose over nodes, so capped-row searches bracket
-  /// them with RowFloor (graph/improvement_rows.hpp).
-  static constexpr bool kRowFloors = true;
-
   static double distance_term(const std::vector<double>& dist) {
     double total = 0.0;
     for (double d : dist) total += d;
@@ -139,6 +122,10 @@ struct BrSearchSetup {
   /// rows already built stay.  A parallel pass.
   void build_rows(const AgentEnvironment& env, std::size_t count);
 
+  /// True when no built row was truncated by the cap: the min-merge of the
+  /// rows is then the exact d_S, which the search requires.
+  bool rows_exact() const;
+
   /// Canonical edge sum of a strategy: weight_row summed in increasing
   /// target order (AgentEnvironment::cost_of's order), so a cost built on
   /// it is a function of the strategy alone.
@@ -159,7 +146,8 @@ struct BrSearchSetup {
 /// reproduces the unrestricted order bit for bit), their weights and weight
 /// row, the base vector (one Dijkstra over the environment,
 /// ScratchArena::sssp_into) and the host row.  The row table is emptied;
-/// rows are built under `repair_cap` by build_rows.
+/// rows are built under `repair_cap` by build_rows (a positive cap only for
+/// the ladder, whose tier 1 reads truncated rows).
 void prepare_br_setup(const AgentEnvironment& env,
                       const std::vector<int>* restrict_targets,
                       std::size_t repair_cap, BrSearchSetup& setup);
@@ -168,8 +156,8 @@ void prepare_br_setup(const AgentEnvironment& env,
 /// exact_best_response; `env.agent()` is the deviating agent and
 /// `env.game()` the game searched (one source of truth -- a separate game
 /// parameter could silently disagree with the environment's).  Prepares
-/// the calling worker's setup from options.restrict_targets and
-/// options.repair_cap, then searches it.
+/// the calling worker's setup from options.restrict_targets, with exact
+/// rows, then searches it.
 BestResponseResult br_search_sum(const AgentEnvironment& env,
                                  const BestResponseOptions& options);
 
@@ -186,8 +174,9 @@ void br_search_sum(const AgentEnvironment& env,
                    BestResponseResult& result);
 
 /// SUM search over a prepared setup (the ladder's tier 2): full mode
-/// against `incumbent`, bounded when the setup's repair cap is positive.
-/// Builds any row the search needs that `setup` lacks.
+/// against `incumbent`.  Builds any row the search needs that `setup`
+/// lacks; contract-checks that every row is exact (a cap that never
+/// fired): with a truncated row the min-merge only upper-bounds d_S.
 void br_search_sum(const AgentEnvironment& env, BrSearchSetup& setup,
                    double incumbent, BestResponseResult& result);
 

@@ -100,7 +100,7 @@ struct DynamicsOptions {
   int approx_budget = 0;
   /// Approx-ladder bounded-frontier repair cap (ApproxBrOptions::repair_cap);
   /// 0 = exact repairs.  Applied moves stay strict better-responses either
-  /// way (the ladder re-costs truncated winners exactly).
+  /// way (the ladder adopts a strategy only after an exact repair).
   std::size_t approx_repair_cap = 0;
   /// Parallel-MGM scheduler: agent shards per round (each shard nominates
   /// its max-gain improving agent; non-conflicting nominees commit

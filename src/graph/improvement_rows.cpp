@@ -56,30 +56,6 @@ double RowFloor::reference_sum(double theta) const {
   return it->second;
 }
 
-RowFloor::Interval RowFloor::bracket(double theta, double delta,
-                                     std::size_t entries) const {
-  const double g = reference_sum(theta);
-  if (!(g < kInf)) return {-kInf, kInf};  // unknown (NaN) or infinite
-  const double slack = 4.0 * static_cast<double>(ref_->size() + entries) *
-                       std::numeric_limits<double>::epsilon() * g;
-  const double estimate = g + delta;
-  return {estimate - slack, estimate + slack};
-}
-
-double RowFloor::merged_delta(
-    double theta, const std::vector<double>& dist,
-    const std::vector<std::pair<int, double>>& undo) const {
-  const std::vector<double>& ref = *ref_;
-  const std::vector<double>& host = *host_row_;
-  double delta = 0.0;
-  for (const auto& [node, old] : undo) {
-    const auto t = static_cast<std::size_t>(node);
-    if (old != ref[t]) continue;  // a later lowering of a touched node
-    delta += term(host[t], dist[t], theta) - term(host[t], old, theta);
-  }
-  return delta;
-}
-
 RowFloor::Interval RowFloor::with_row(
     double theta, const std::vector<std::pair<int, double>>& row) const {
   const std::vector<double>& ref = *ref_;
@@ -90,7 +66,12 @@ RowFloor::Interval RowFloor::with_row(
     if (!(d < ref[t])) continue;
     delta += term(host[t], d, theta) - term(host[t], ref[t], theta);
   }
-  return bracket(theta, delta, row.size());
+  const double g = reference_sum(theta);
+  if (!(g < kInf)) return {-kInf, kInf};  // unknown (NaN) or infinite
+  const double slack = 4.0 * static_cast<double>(ref.size() + row.size()) *
+                       std::numeric_limits<double>::epsilon() * g;
+  const double estimate = g + delta;
+  return {estimate - slack, estimate + slack};
 }
 
 }  // namespace gncg

@@ -11,26 +11,23 @@
 // A row built under a FrontierPolicy cap lists only what the capped repair
 // lowered and records the repair's frontier key F_x (kInf when the repair
 // ran exact).  Each capped row keeps the truncation invariant
-// c_x(t) >= min(row_x(t), F_x) against the exact single-insert vector c_x,
-// so the merged vector m_S and the path frontier PF = min over x in S of
-// F_x satisfy
-//     d_S(t) >= min(m_S(t), PF)   for every node t,
-// with no stacked repairs: every row is a repair of the same base vector.
-// With PF = kInf the merge is the exact vector bit for bit.
+// c_x(t) >= min(row_x(t), F_x) against the exact single-insert vector c_x.
+// Only exact rows are merged (the best-response search); a capped row is
+// read alone, as one probe of the approximate ladder's tier 1.
 //
 // RowFloor sums the per-node floor
 //     term_theta(t, x) = theta < kInf ? max(h(t), min(x, theta)) : x
-// over a vector that differs from a reference vector `ref` only at the
-// nodes some rows lowered:
-//     sum_t term(x_t) = G(theta) + delta,
-//     delta = sum over lowering entries e of (term(new_e) - term(old_e)),
-// with G(theta) = sum_t term(ref_t) precomputed once per threshold.  The
-// entries are the writes of a min-merge log, or one per touched node (old =
-// ref); either way they telescope per node.  The estimate costs O(entries),
-// not O(n), and is returned padded on both sides: the canonical in-order
-// sum (the value a search would record or prune on) lies inside [lo, hi].
-// Callers decide on the interval and pay the O(n) canonical sum only when
-// it straddles their bound.
+// over min(ref, row) for one row, where `ref` is a reference vector:
+//     sum_t term(min(ref_t, row_t)) = G(theta) + delta,
+//     delta = sum over row entries e below ref of (term(row_e) - term(ref_e)),
+// with G(theta) = sum_t term(ref_t) precomputed once per threshold.  With
+// `ref` the exact vector d of a strategy S and an exact row (theta = kInf)
+// the sum is the canonical distance sum of S + x; with `ref` the base
+// vector and a capped row at theta = F_x it is an admissible floor on the
+// distance sum of x alone.
+// The estimate costs O(row), not O(n), and is returned padded on both
+// sides: the canonical in-order sum lies inside [lo, hi].  Callers decide
+// on the interval and pay the O(n) canonical sum only when it can win.
 //
 // FP admissibility of the padding.  All terms are non-negative and a
 // node's entries only lower it, so every partial sum is bounded by G and
@@ -93,31 +90,9 @@ class RowFloor {
              const std::vector<double>& ref,
              const std::vector<double>& thresholds);
 
-  /// G(theta), or NaN when theta was not among the thresholds.
-  double reference_sum(double theta) const;
-
-  /// Bracket of G(theta) + delta, where delta sums `entries` lowering
-  /// differences term(new) - term(old).  Unbounded when G(theta) is unknown
-  /// (theta not among the thresholds) or infinite: the canonical sum must
-  /// then decide.  With no entries, the upper end also bounds every vector
-  /// below the reference: lowering only shrinks terms.
-  Interval bracket(double theta, double delta, std::size_t entries) const;
-
-  /// Bracket of sum_t term_theta(t, dist(t)), where `dist` equals the
-  /// reference vector except at the nodes `undo` lowered: `undo` is a
-  /// min-merge log of (node, overwritten value) pairs that took ref to dist,
-  /// and a node's first entry is the one whose old value equals ref.
-  Interval merged(double theta, const std::vector<double>& dist,
-                  const std::vector<std::pair<int, double>>& undo) const {
-    return bracket(theta, merged_delta(theta, dist, undo), undo.size());
-  }
-
-  /// The delta merged() brackets: one entry per node `undo` touched.
-  double merged_delta(double theta, const std::vector<double>& dist,
-                      const std::vector<std::pair<int, double>>& undo) const;
-
   /// Bracket of sum_t term_theta(t, min(ref(t), row(t))) for one row of
-  /// distinct nodes.
+  /// distinct nodes.  Unbounded when theta was not among the thresholds or
+  /// G(theta) is infinite: the canonical sum must then decide.
   Interval with_row(double theta,
                     const std::vector<std::pair<int, double>>& row) const;
 
@@ -126,6 +101,9 @@ class RowFloor {
   }
 
  private:
+  /// G(theta), or NaN when theta was not among the thresholds.
+  double reference_sum(double theta) const;
+
   const std::vector<double>* host_row_ = nullptr;
   const std::vector<double>* ref_ = nullptr;
   std::vector<std::pair<double, double>> sums_;  ///< (theta, G), by theta

@@ -3,7 +3,7 @@
 // Adding an edge incident to the source can only *decrease* distances.
 // IncrementalSssp maintains the source's distance vector under such
 // insertions for two users: the approximate-BR ladder's tier-1 exact
-// re-costs and commits (core/approx_br.cpp), and the facility-row builds of
+// probe repairs and commits (core/approx_br.cpp), and the facility-row builds of
 // the best-response search (append_improvement_row: one single-insert
 // repair per candidate, optionally capped, rolled back at once --
 // core/br_search.cpp merges the rows instead of stacking repairs).  The

@@ -19,8 +19,6 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += repair_.affected.capacity() * sizeof(int);
   total += repair_.heap.capacity() * sizeof(detail::HeapEntry);
   total += br_.setup.footprint_bytes();
-  total += br_.thresholds.capacity() * sizeof(double);
-  total += br_.floors.footprint_bytes();
   total += br_.outcomes.capacity() * sizeof(BrScratch::Outcome);
   total += br_branch_.undo.capacity() * sizeof(std::pair<int, double>);
   total += br_branch_.dist.capacity() * sizeof(double);
@@ -29,8 +27,6 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += ladder_.thresholds.capacity() * sizeof(double);
   total += ladder_.floors.footprint_bytes();
   total += ladder_.probe_rank.capacity() * sizeof(std::pair<double, int>);
-  total += ladder_.commits.capacity() *
-           sizeof(std::pair<std::size_t, std::size_t>);
   return total;
 }
 

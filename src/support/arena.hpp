@@ -112,14 +112,11 @@ class ScratchArena {
   // The driver partition: the setup (prepared by br_search_sum / br_search_max,
   // or by the approximate ladder for both of its tiers; its row table is
   // filled by a parallel pass, slot i written only by the task building
-  // row i) and the search's floor table and outcome slots.  Read-only
-  // during the branch fan-out except outcome slot i, which belongs to
-  // branch i.
+  // row i) and the search's outcome slots.  Read-only during the branch
+  // fan-out except outcome slot i, which belongs to branch i.
 
   struct BrScratch {
     BrSearchSetup setup;
-    std::vector<double> thresholds;  ///< bounded-mode floor thresholds
-    RowFloor floors;                 ///< bounded-mode canonical-sum brackets
     /// Result of one first-level branch.  Slot i is written only by branch
     /// i's task and read by the driver's fold after the fan-out joins.  The
     /// vector never shrinks, so slot strategies keep their storage.
@@ -128,7 +125,6 @@ class ScratchArena {
       NodeSet strategy;
       bool improved = false;
       std::uint64_t evaluations = 0;
-      bool truncated = false;
     };
     std::vector<Outcome> outcomes;
   };
@@ -145,10 +141,10 @@ class ScratchArena {
 
   // --- approximate-BR ladder scratch (core/approx_br.cpp) ---
   //
-  // The ladder searches over BrScratch::setup; these members hold what only
-  // its tier 1 keeps, disjoint from the search's driver and branch scratch
-  // and from the shared IncrementalSssp, so the greedy state stays alive
-  // across tier 2's search.
+  // The ladder prepares BrScratch::setup for both tiers; these members
+  // hold what only its tier 1 keeps, disjoint from the search's driver and
+  // branch scratch and from the shared IncrementalSssp the row builds use.
+  // Tier 1 is done with them before tier 2 (exact rows only) starts.
 
   struct LadderScratch {
     std::vector<int> cand;          ///< oracle candidate shortlist
@@ -157,8 +153,6 @@ class ScratchArena {
     RowFloor floors;                ///< tier-1 probe brackets per round
     /// Tier-1 probe ranking: (padded floor, candidate index) pairs.
     std::vector<std::pair<double, int>> probe_rank;
-    /// Tier-1 commits: (change-log mark after the commit, candidate index).
-    std::vector<std::pair<std::size_t, std::size_t>> commits;
   };
   LadderScratch& ladder() { return ladder_; }
 

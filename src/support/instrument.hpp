@@ -81,7 +81,8 @@ enum class Counter : int {
   // Approximate-BR ladder (core/approx_br.cpp).
   kLadderCalls,            ///< ladder invocations
   kLadderTier1Final,       ///< calls resolved at tier 1 (greedy)
-  kLadderTier2Final,       ///< calls resolved at tier 2 (restricted exact)
+  kLadderTier2Final,       ///< calls resolved at tier 2 (restricted exact);
+                           ///< only calls whose rows are all exact reach it
   kLadderTier3Final,       ///< never incremented (the ladder has two
                            ///< tiers); kept for counter-id stability
   kLadderEscapeExact,      ///< tier-2 escape-bound exactness certificates
@@ -130,10 +131,10 @@ enum class Counter : int {
   kEngineRowRepairs,         ///< stale rows repaired from the edit log
   kEngineRepairRelaxations,  ///< distance decreases during row repairs
 
-  // Best response on facility rows (core/br_search.cpp): one single-insert
-  // improvement row per candidate that passes the global entry cut (capped
-  // in bounded mode; the ladder builds one row per shortlist candidate),
-  // then a min-merge per DFS insert.
+  // Best response on facility rows (core/br_search.cpp): one exact
+  // single-insert improvement row per candidate that passes the global
+  // entry cut (the ladder builds one row per shortlist candidate, capped
+  // under its repair_cap), then a min-merge per DFS insert.
   kBrRowBuilds,   ///< candidate improvement rows built
   kBrRowEntries,  ///< (node, distance) entries across built rows
   kBrMergeWrites, ///< distances lowered by row min-merges (undo entries)
@@ -145,11 +146,10 @@ enum class Counter : int {
   kEngineScanSums,         ///< O(n) addition / bridge sums computed
   kEngineScanFloorPrunes,  ///< candidates skipped by the O(1) floor
 
-  // Bounded best-response search (core/br_search.cpp, repair_cap > 0, SUM):
-  // canonical O(n) sums its RowFloor brackets could not settle.  Exact mode
-  // takes one plain pass per evaluation and per-node floor and does not
-  // count them here, so exact-mode counters are unchanged.
-  kBrFullSums,  ///< canonical O(n) evaluation and floor sums taken
+  // Kept so counter ids and JSONL keys stay stable: the bounded
+  // best-response search that counted the O(n) sums its brackets could not
+  // settle is gone (br_search takes exact rows only).
+  kBrFullSums,  ///< never incremented
 
   kCount
 };

@@ -424,7 +424,6 @@ TEST(BrSearchDifferential, RestrictedSearchMatchesBruteForceAcrossBackends) {
       EXPECT_FALSE(improves(brute, fast.cost))
           << "trial " << trial << " agent " << u << ": " << brute << " < "
           << fast.cost;
-      EXPECT_FALSE(fast.truncated);
     }
   }
 }
@@ -599,18 +598,19 @@ TEST(BrSearchRows, ParallelRowBuildIsThreadCountInvariant) {
   set_default_thread_count(0);
 }
 
-TEST(BrSearchRows, TruncatedMergeFloorIsAdmissible) {
-  // Rows capped at 1-4 overwrites truncate constantly at these sizes.  For
-  // random subsets S, the RowFloor brackets of the merged vector -- at the
-  // path frontier PF, what the bounded search records on (from the touched
-  // nodes and from the folded writes), and at min(PF, w), what it prunes on
-  // -- must bracket the canonical in-order floor sum, and the PF bracket
-  // must stay at or below the canonical cost from a fresh Dijkstra over
-  // environment + S.  The bounded search's reported optimum must likewise
-  // stay at or below the exact restricted optimum.
+TEST(BrSearchRows, WithRowBracketsTheLaddersTierOneProbes) {
+  // RowFloor::with_row is what ranks and skips the approximate ladder's
+  // tier-1 probes, on its two paths:
+  //  * exact rows at theta = kInf over a committed strategy's exact vector
+  //    (the probe-skip path): the bracket must contain the canonical
+  //    in-order sum of min(d_S, row_x), the distance sum of S + x;
+  //  * capped rows (1-4 overwrites, truncating constantly at these sizes)
+  //    at theta = F_x over the base vector (the truncated ranking pass):
+  //    lo + alpha * w_x must stay at or below cost_of({x}), the canonical
+  //    cost from a fresh Dijkstra.
   Rng rng(251);
-  std::uint64_t truncated_subsets = 0;
-  std::uint64_t exact_subsets = 0;
+  std::uint64_t exact_probes = 0;
+  std::uint64_t truncated_rows = 0;
   for (int trial = 0; trial < 48; ++trial) {
     const int n = 10 + trial % 11;
     const Game game(
@@ -622,10 +622,11 @@ TEST(BrSearchRows, TruncatedMergeFloorIsAdmissible) {
     DeviationEngine engine(game, profile);
     for (int u = 0; u < n; ++u) {
       const AgentEnvironment env(engine, u);
+      const auto environment_edges = [&](int x, auto&& visit) {
+        env.for_neighbors(x, visit);
+      };
       std::vector<double> base;
-      dijkstra_over(
-          n, u, [&](int x, auto&& visit) { env.for_neighbors(x, visit); },
-          base);
+      dijkstra_over(n, u, environment_edges, base);
       std::vector<double> host(static_cast<std::size_t>(n));
       for (int v = 0; v < n; ++v)
         host[static_cast<std::size_t>(v)] = game.host_distance(u, v);
@@ -636,145 +637,65 @@ TEST(BrSearchRows, TruncatedMergeFloorIsAdmissible) {
           candidates.push_back(v);
           weights.push_back(game.weight(u, v));
         }
-      ImprovementRows rows;
-      build_improvement_rows(env, candidates, weights, base, cap,
-                             candidates.size(), rows);
-      std::vector<double> thresholds = weights;
-      thresholds.insert(thresholds.end(), rows.frontier.begin(),
-                        rows.frontier.end());
-      RowFloor floors;
-      floors.build(host, base, thresholds);
 
-      for (int draw = 0; draw < 8; ++draw) {
-        std::vector<std::size_t> chosen;
-        double frontier = kInf;
-        NodeSet bought(n);
+      ImprovementRows exact;
+      build_improvement_rows(env, candidates, weights, base, 0,
+                             candidates.size(), exact);
+      for (int draw = 0; draw < 3; ++draw) {
+        // A committed strategy and its exact vector, kept by stacked
+        // repairs as tier 1 keeps it.
+        std::vector<char> committed(candidates.size(), 0);
+        IncrementalSssp sssp;
+        sssp.reset(base);
+        for (std::size_t i = 0; i < candidates.size(); ++i)
+          if (rng.bernoulli(0.3)) {
+            committed[i] = 1;
+            sssp.relax_insert(candidates[i], weights[i], environment_edges);
+          }
+        const std::vector<double>& d = sssp.dist();
+        RowFloor floors;
+        floors.build(host, d, {kInf});
         for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (!rng.bernoulli(0.3)) continue;
-          chosen.push_back(i);
-          bought.insert(candidates[i]);
-          frontier = std::min(frontier, rows.frontier[i]);
-        }
-        // Merge as the search does, folding every logged write into the
-        // evaluation delta at the subset's frontier.
-        std::vector<double> merged = base;
-        std::vector<std::pair<int, double>> undo;
-        double write_delta = 0.0;
-        for (std::size_t i : chosen)
-          for (const auto& [t, d] : rows.entries[i]) {
-            const auto ti = static_cast<std::size_t>(t);
-            double& slot = merged[ti];
-            if (d < slot) {
-              write_delta += RowFloor::term(host[ti], d, frontier) -
-                             RowFloor::term(host[ti], slot, frontier);
-              undo.emplace_back(t, slot);
-              slot = d;
-            }
+          if (committed[i]) continue;
+          std::vector<double> merged = d;
+          for (const auto& [t, row_t] : exact.entries[i]) {
+            double& slot = merged[static_cast<std::size_t>(t)];
+            slot = std::min(slot, row_t);
           }
-        (frontier < kInf ? truncated_subsets : exact_subsets) +=
-            undo.empty() ? 0 : 1;
-
-        std::vector<double> fresh;
-        dijkstra_over(
-            n, u,
-            [&](int x, auto&& visit) {
-              env.for_neighbors(x, visit);
-              if (x == u) {
-                bought.for_each([&](int v) { visit(v, game.weight(u, v)); });
-              } else if (bought.contains(x)) {
-                visit(u, game.weight(u, x));
-              }
-            },
-            fresh);
-        double fresh_sum = 0.0;
-        for (double d : fresh) fresh_sum += d;
-
-        // Every threshold the search asks for at this node: PF for the
-        // evaluation, min(PF, w_next) for the per-node floors.
-        std::vector<double> asked{frontier};
-        for (double w : weights) asked.push_back(std::min(w, frontier));
-        for (double theta : asked) {
           double canonical = 0.0;
-          for (std::size_t t = 0; t < merged.size(); ++t)
-            canonical += RowFloor::term(host[t], merged[t], theta);
+          for (double x : merged) canonical += x;
           const RowFloor::Interval bracket =
-              floors.merged(theta, merged, undo);
+              floors.with_row(kInf, exact.entries[i]);
           EXPECT_LE(bracket.lo, canonical)
-              << "trial " << trial << " agent " << u << " theta " << theta;
+              << "trial " << trial << " agent " << u << " candidate " << i;
           EXPECT_GE(bracket.hi, canonical)
-              << "trial " << trial << " agent " << u << " theta " << theta;
-          if (theta == frontier) {
-            const RowFloor::Interval folded =
-                floors.bracket(theta, write_delta, undo.size());
-            EXPECT_LE(folded.lo, canonical)
-                << "trial " << trial << " agent " << u;
-            EXPECT_GE(folded.hi, canonical)
-                << "trial " << trial << " agent " << u;
-            EXPECT_LE(bracket.lo, fresh_sum)
-                << "trial " << trial << " agent " << u;
-            double edge_sum = 0.0;
-            bought.for_each([&](int v) { edge_sum += game.weight(u, v); });
-            EXPECT_LE(game.alpha() * edge_sum + bracket.lo,
-                      env.cost_of(bought))
-                << "trial " << trial << " agent " << u;
-          }
+              << "trial " << trial << " agent " << u << " candidate " << i;
+          ++exact_probes;
         }
       }
 
-      BestResponseOptions exact;
-      exact.restrict_targets = &candidates;
-      BestResponseOptions bounded = exact;
-      bounded.repair_cap = cap;
-      const auto reference = exact_best_response(engine, u, exact);
-      const auto capped = exact_best_response(engine, u, bounded);
-      EXPECT_LE(capped.cost,
-                reference.cost + 1e-12 * std::max(1.0, reference.cost))
-          << "trial " << trial << " agent " << u;
-      if (!capped.truncated) {
-        EXPECT_EQ(capped.cost, env.cost_of(capped.strategy))
-            << "trial " << trial << " agent " << u;
+      ImprovementRows capped;
+      build_improvement_rows(env, candidates, weights, base, cap,
+                             candidates.size(), capped);
+      RowFloor floors;
+      floors.build(host, base, capped.frontier);
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const RowFloor::Interval bracket =
+            floors.with_row(capped.frontier[i], capped.entries[i]);
+        NodeSet single(n);
+        single.insert(candidates[i]);
+        EXPECT_LE(game.alpha() * weights[i] + bracket.lo,
+                  env.cost_of(single))
+            << "trial " << trial << " agent " << u << " candidate " << i;
+        if (capped.frontier[i] < kInf) ++truncated_rows;
       }
     }
   }
-  // Both kinds of merged vector occurred: the slack check needs exact
-  // merges (estimate and canonical sum equal up to rounding), the frontier
-  // check truncated ones.
-  EXPECT_GT(truncated_subsets, 100u);
-  EXPECT_GT(exact_subsets, 100u);
-}
-
-TEST(BrSearchRows, NeverFiringCapEqualsExactMode) {
-  // A cap that never fires builds every row exactly, so the bounded search
-  // -- which brackets its sums with RowFloor and takes a canonical pass only
-  // when the bracket straddles the bound -- must return exact mode's
-  // strategy, cost bits and evaluation count on every backend, for full
-  // searches and for certification bounds alike.
-  Rng rng(257);
-  for (int trial = 0; trial < 36; ++trial) {
-    const int n = 8 + trial % 7;
-    const Game game =
-        random_backend_game(n, rng.uniform_real(0.3, 4.0), trial, rng);
-    StrategyProfile profile = random_profile(game, rng);
-    force_mutual_buys(game, profile, n / 3, rng);
-    DeviationEngine engine(game, profile);
-    for (int u = 0; u < n; ++u) {
-      BestResponseOptions exact;
-      if (trial % 2 == 1) exact.incumbent = engine.agent_cost(u);
-      BestResponseOptions bounded = exact;
-      bounded.repair_cap = std::size_t{1} << 20;
-      const auto a = exact_best_response(engine, u, exact);
-      const auto b = exact_best_response(engine, u, bounded);
-      EXPECT_TRUE(a.strategy == b.strategy)
-          << "trial " << trial << " agent " << u;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cost),
-                std::bit_cast<std::uint64_t>(b.cost))
-          << "trial " << trial << " agent " << u;
-      EXPECT_EQ(a.evaluations, b.evaluations)
-          << "trial " << trial << " agent " << u;
-      EXPECT_EQ(a.improved, b.improved);
-      EXPECT_FALSE(b.truncated);
-    }
-  }
+  // Both paths ran often: the slack check needs many exact probes
+  // (estimate and canonical sum equal up to rounding), the frontier check
+  // truncated rows.
+  EXPECT_GT(exact_probes, 1000u);
+  EXPECT_GT(truncated_rows, 1000u);
 }
 
 // --- AgentEnvironment borrow mode (double-ownership masking) --------------
