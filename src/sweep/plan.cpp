@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <iomanip>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -12,6 +14,17 @@ double SweepPoint::extra_or(std::string_view name, double fallback) const {
   for (const auto& [key, value] : extras)
     if (key == name) return value;
   return fallback;
+}
+
+double SweepPoint::checked_count(std::string_view name, double fallback,
+                                 int bits) const {
+  const double value = extra_or(name, fallback);
+  GNCG_CHECK(value >= 0.0 && value < std::ldexp(1.0, bits) &&
+                 value == std::floor(value),
+             scenario << " needs " << name
+                      << " to be a non-negative integer below 2^" << bits
+                      << ", got " << std::setprecision(17) << value);
+  return value;
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +38,22 @@ struct SweepPoint {
 
   /// Extra parameter lookup with fallback.
   double extra_or(std::string_view name, double fallback) const;
+
+  /// Count-valued extra (restarts, max_moves, repair_cap, ...) read as T.
+  /// Contract-fails, naming the scenario, the key and the value, unless the
+  /// value is a finite non-negative integer that fits T: a plain cast would
+  /// be undefined for a negative or oversized value and would drop a
+  /// fraction.
+  template <typename T>
+  T count_or(std::string_view name, double fallback) const {
+    return static_cast<T>(
+        checked_count(name, fallback, std::numeric_limits<T>::digits));
+  }
+
+  /// count_or's check: the extra's value, required to be an integer in
+  /// [0, 2^bits).
+  double checked_count(std::string_view name, double fallback,
+                       int bits) const;
 
   /// The job's derived RNG stream seed (see support/rng.hpp).
   std::uint64_t rng_stream() const {

@@ -118,8 +118,8 @@ double engine_social_cost(DeviationEngine& engine) {
 }
 
 ScenarioResult run_br_dynamics(const SweepPoint& point, Rng& rng) {
-  const int rounds = static_cast<int>(point.extra_or("rounds", 3.0));
-  const int agents = static_cast<int>(point.extra_or("agents", 64.0));
+  const int rounds = point.count_or<int>("rounds", 3.0);
+  const int agents = point.count_or<int>("agents", 64.0);
   GNCG_CHECK(rounds >= 1 && agents >= 1,
              "br_dynamics needs rounds >= 1 and agents >= 1");
 
@@ -161,9 +161,7 @@ ScenarioResult run_br_dynamics(const SweepPoint& point, Rng& rng) {
 // --- br_certify -----------------------------------------------------------
 
 ScenarioResult run_br_certify(const SweepPoint& point, Rng& rng) {
-  const int settle_rounds =
-      static_cast<int>(point.extra_or("settle_rounds", 2.0));
-  GNCG_CHECK(settle_rounds >= 0, "br_certify needs settle_rounds >= 0");
+  const int settle_rounds = point.count_or<int>("settle_rounds", 2.0);
   const Game game(make_sweep_host(point, rng), point.alpha);
   DeviationEngine engine(game, recursive_tree_profile(game, rng));
 
@@ -211,7 +209,7 @@ ScenarioResult run_br_certify(const SweepPoint& point, Rng& rng) {
 // --- poa_random -----------------------------------------------------------
 
 ScenarioResult run_poa_random(const SweepPoint& point, Rng& rng) {
-  const int attempts = static_cast<int>(point.extra_or("attempts", 20.0));
+  const int attempts = point.count_or<int>("attempts", 20.0);
   GNCG_CHECK(attempts >= 1, "poa_random needs attempts >= 1");
   const Game game(make_sweep_host(point, rng), point.alpha);
   const bool exact = point.n <= 5;
@@ -283,7 +281,7 @@ constexpr MoveRule kRuleAxis[] = {MoveRule::kBestSingleMove,
 
 int axis_prefix(const SweepPoint& point, const char* name, double fallback,
                 int limit) {
-  const int count = static_cast<int>(point.extra_or(name, fallback));
+  const int count = point.count_or<int>(name, fallback);
   GNCG_CHECK(count >= 1 && count <= limit,
              point.scenario << " needs 1 <= " << name << " <= " << limit
                             << ", got " << count);
@@ -291,9 +289,8 @@ int axis_prefix(const SweepPoint& point, const char* name, double fallback,
 }
 
 ScenarioResult run_ne_sampling(const SweepPoint& point, Rng& rng) {
-  const int restarts = static_cast<int>(point.extra_or("restarts", 12.0));
-  const auto max_moves =
-      static_cast<std::uint64_t>(point.extra_or("max_moves", 2000.0));
+  const int restarts = point.count_or<int>("restarts", 12.0);
+  const auto max_moves = point.count_or<std::uint64_t>("max_moves", 2000.0);
   const int schedulers = axis_prefix(point, "schedulers", 2.0, 5);
   const int rules = axis_prefix(point, "rules", 1.0, 3);
   GNCG_CHECK(restarts >= 1 && max_moves >= 1,
@@ -351,9 +348,8 @@ ScenarioResult run_ne_sampling(const SweepPoint& point, Rng& rng) {
 }
 
 ScenarioResult run_fip_probe(const SweepPoint& point, Rng& rng) {
-  const int restarts = static_cast<int>(point.extra_or("restarts", 16.0));
-  const auto max_moves =
-      static_cast<std::uint64_t>(point.extra_or("max_moves", 600.0));
+  const int restarts = point.count_or<int>("restarts", 16.0);
+  const auto max_moves = point.count_or<std::uint64_t>("max_moves", 600.0);
   const int schedulers = axis_prefix(point, "schedulers", 2.0, 5);
   GNCG_CHECK(restarts >= 1 && max_moves >= 1,
              "fip_probe needs restarts >= 1 and max_moves >= 1");
@@ -412,11 +408,10 @@ ScenarioResult run_fip_probe(const SweepPoint& point, Rng& rng) {
 /// scheduler x rule combo; the MGM rows additionally report the achieved
 /// round parallelism (mean commits per round, max batch).
 ScenarioResult run_parallel_mgm(const SweepPoint& point, Rng& rng) {
-  const int restarts = static_cast<int>(point.extra_or("restarts", 8.0));
-  const auto max_moves =
-      static_cast<std::uint64_t>(point.extra_or("max_moves", 2000.0));
+  const int restarts = point.count_or<int>("restarts", 8.0);
+  const auto max_moves = point.count_or<std::uint64_t>("max_moves", 2000.0);
   const int rules = axis_prefix(point, "rules", 1.0, 3);
-  const int shards = static_cast<int>(point.extra_or("shards", 0.0));
+  const int shards = point.count_or<int>("shards", 0.0);
   GNCG_CHECK(restarts >= 1 && max_moves >= 1,
              "parallel_mgm needs restarts >= 1 and max_moves >= 1");
 
@@ -492,14 +487,11 @@ ScenarioResult run_parallel_mgm(const SweepPoint& point, Rng& rng) {
 /// hosts only -- the whole point is the spatial oracle's shortlist, and the
 /// scenario asserts the run never materialized a dense O(n^2) matrix.
 ScenarioResult run_approx_ne(const SweepPoint& point, Rng& rng) {
-  const int restarts = static_cast<int>(point.extra_or("restarts", 2.0));
-  const auto max_moves =
-      static_cast<std::uint64_t>(point.extra_or("max_moves", 200.0));
-  const int budget = static_cast<int>(point.extra_or("budget", 16.0));
-  const int certify_count =
-      static_cast<int>(point.extra_or("certify_agents", 64.0));
-  const auto repair_cap =
-      static_cast<std::size_t>(point.extra_or("repair_cap", 0.0));
+  const int restarts = point.count_or<int>("restarts", 2.0);
+  const auto max_moves = point.count_or<std::uint64_t>("max_moves", 200.0);
+  const int budget = point.count_or<int>("budget", 16.0);
+  const int certify_count = point.count_or<int>("certify_agents", 64.0);
+  const auto repair_cap = point.count_or<std::size_t>("repair_cap", 0.0);
   const bool verify_unbounded = point.extra_or("verify_unbounded", 0.0) != 0.0;
   GNCG_CHECK(restarts >= 1 && max_moves >= 1 && budget >= 1 &&
                  certify_count >= 1,

@@ -259,6 +259,60 @@ TEST(ApproxLadder, CertificatesAreSoundAgainstNaiveExact) {
   }
 }
 
+TEST(ApproxLadder, CertificatesAreSoundAgainstExactAtModerateN) {
+  // The size range the naive reference cannot reach: on uniform [0,1000]^2
+  // hosts at alpha = 100 with n up to 128, eight evenly spaced agents of a
+  // random profile run the ladder (budget 8) with exact and with truncating
+  // rows, each with and without the current-network floor.  Against the
+  // pruned exact best response bounded by the agent's incumbent, the
+  // ladder's cost may never beat the optimum, its lower bound may never
+  // exceed it, and a claim of exactness must be true.
+  bool cap_fired = false;
+  for (const int n : {32, 64, 128}) {
+    Rng rng(910u + static_cast<std::uint64_t>(n));
+    const Game game(
+        HostGraph::from_points(uniform_points(n, 2, 1000.0, rng), 2.0), 100.0);
+    DeviationEngine engine(game, random_profile(game, rng));
+    engine.warm_distances();
+    for (int i = 0; i < 8; ++i) {
+      const int u = i * n / 8;
+      BestResponseOptions br_options;
+      br_options.incumbent = engine.agent_cost(u);
+      const double optimum =
+          std::min(exact_best_response(engine, u, br_options).cost,
+                   br_options.incumbent);
+      const double tol = 1e-9 * std::max(1.0, std::abs(optimum));
+      std::uint64_t exact_row_evaluations[2] = {0, 0};
+      for (const std::size_t cap : {std::size_t{0}, std::size_t{16}}) {
+        for (const int with_floor : {0, 1}) {
+          ApproxBrOptions options;
+          options.budget = 8;
+          options.repair_cap = cap;
+          options.incumbent = br_options.incumbent;
+          if (with_floor) options.current_dist = &engine.distances_warm(u);
+          const auto ladder = approx_best_response_ladder(engine, u, options);
+          const std::string where =
+              "n " + std::to_string(n) + " agent " + std::to_string(u) +
+              " cap " + std::to_string(cap) + " floor " +
+              std::to_string(with_floor);
+          EXPECT_GE(ladder.cost, optimum - tol) << where;
+          EXPECT_LE(ladder.lower_bound, optimum + tol) << where;
+          if (ladder.exact) {
+            EXPECT_NEAR(ladder.cost, optimum, tol) << where;
+          }
+          if (cap == 0)
+            exact_row_evaluations[with_floor] = ladder.evaluations;
+          else if (ladder.evaluations != exact_row_evaluations[with_floor])
+            cap_fired = true;
+        }
+      }
+    }
+  }
+  // The capped calls must take a different path somewhere, or no row ever
+  // truncated.
+  EXPECT_TRUE(cap_fired);
+}
+
 TEST(ApproxLadder, BoundedRepairsKeepCertificatesSound) {
   // With a tiny repair cap the tier-1 probes truncate constantly; the
   // ladder must still return a real strategy's canonical cost, an

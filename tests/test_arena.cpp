@@ -304,8 +304,9 @@ TEST(ShrinkPolicy, AlternatingWorkloadsKeepCapacity) {
   // The PR 8 policy shrank from the *last* run's peak alone, so a workload
   // alternating small probes and large floods (the bounded ladder's probe /
   // commit pattern) released and re-grew its buffers every other call --
-  // 923 arena_shrink_events per bench_large_geo run.  The decaying estimate
-  // must keep the large capacity across interleaved small runs.
+  // 923 arena_shrink_events over one pass of the three large-tier points
+  // (n = 10^4, 10^5, 10^6).  The decaying estimate must keep the large
+  // capacity across interleaved small runs.
   DijkstraBuffers buffers;
   const int big = 6000, small = 8;
   buffers.run(big, 0,

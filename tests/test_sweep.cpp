@@ -184,6 +184,28 @@ TEST(SweepPlan, ExtraOrderDoesNotChangeExpansion) {
   EXPECT_EQ(a.fingerprint(registry), b.fingerprint(registry));
 }
 
+TEST(SweepPoint, CountExtrasMustBeIntegersThatFit) {
+  // Integers from 0 up to the consuming type's maximum pass; a negative,
+  // fractional, oversized or non-finite value contract-fails.
+  SweepPoint point;
+  point.scenario = "approx_ne";
+  const auto count = [&](double value) {
+    point.extras = {{"k", value}};
+    return point.count_or<int>("k", 7.0);
+  };
+  EXPECT_EQ(count(0.0), 0);
+  EXPECT_EQ(count(2147483647.0), 2147483647);
+  point.extras.clear();
+  EXPECT_EQ(point.count_or<int>("k", 7.0), 7);
+  for (const double bad : {-1.0, 2.5, 2147483648.0, 1e30, std::nan(""),
+                           HUGE_VAL})
+    EXPECT_THROW(count(bad), ContractViolation) << bad;
+  point.extras = {{"k", 1.8446744073709552e19}};  // 2^64
+  EXPECT_THROW(point.count_or<std::uint64_t>("k", 0.0), ContractViolation);
+  point.extras = {{"k", 4294967296.0}};
+  EXPECT_EQ(point.count_or<std::uint64_t>("k", 0.0), 4294967296u);
+}
+
 // --- determinism across thread counts (acceptance) ------------------------
 
 TEST(SweepRunner, JournalBytesIdenticalAcrossThreadCounts) {
