@@ -1,22 +1,17 @@
 // Shared helpers for the experiment benches: every bench prints
-// paper-value vs measured-value rows through these utilities, and every
-// BENCH_*.json carries the same provenance block (print_context).
+// paper-value vs measured-value rows through these utilities.  perfbench
+// shares the build-type stamp and the release-only gate.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <ctime>
 #include <iostream>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/cost.hpp"
 #include "core/game.hpp"
-#include "support/arena.hpp"
-#include "support/instrument.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 
@@ -73,58 +68,6 @@ inline bool require_release(bool allow_debug, const char* bench_name) {
                bench_name);
   return false;
 #endif
-}
-
-/// Extra context entries: (key, raw JSON value) -- the value string is
-/// emitted verbatim, so pass "12" / "true" / "\"text\"" already formatted.
-using ContextExtras = std::vector<std::pair<std::string, std::string>>;
-
-/// Emits the shared `"command"` and `"context"` members every BENCH_*.json
-/// carries (the caller has already printed `{` and the "description"
-/// entry, and continues with its result arrays afterwards):
-///
-///   date, num_cpus, max worker threads the bench drives and the derived
-///   parallelism_limited tag, library_build_type, whether the
-///   instrumentation layer is compiled in, any per-bench extras, the arena
-///   fleet stats, and every nonzero kernel counter (process totals at call
-///   time -- event counts only, never timings).
-inline void print_context(const std::string& command, std::size_t threads,
-                          const ContextExtras& extras = {}) {
-  char date[64];
-  const std::time_t now = std::time(nullptr);
-  std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%S%z",
-                std::localtime(&now));
-  const unsigned num_cpus = std::thread::hardware_concurrency();
-
-  std::printf("  \"command\": \"%s\",\n", command.c_str());
-  std::printf("  \"context\": {\n");
-  std::printf("    \"date\": \"%s\",\n", date);
-  std::printf("    \"num_cpus\": %u,\n", num_cpus);
-  std::printf("    \"max_threads\": %zu,\n", threads);
-  std::printf("    \"parallelism_limited\": %s,\n",
-              num_cpus < threads ? "true" : "false");
-  std::printf("    \"library_build_type\": \"%s\",\n", build_type());
-  std::printf("    \"instrumented\": %s,\n",
-              instrument::compiled_in() ? "true" : "false");
-  for (const auto& [key, value] : extras)
-    std::printf("    \"%s\": %s,\n", key.c_str(), value.c_str());
-  const instrument::MetricsSnapshot snapshot = instrument::metrics_snapshot();
-  std::printf("    \"arenas\": %zu,\n", snapshot.arenas);
-  std::printf("    \"arena_footprint_bytes\": %zu,\n",
-              snapshot.arena_footprint_bytes);
-  std::printf("    \"arena_peak_footprint_bytes\": %zu,\n",
-              snapshot.arena_peak_footprint_bytes);
-  std::printf("    \"kernel_counters\": {");
-  bool first = true;
-  for (std::size_t i = 0; i < instrument::kCounterCount; ++i) {
-    if (snapshot.counters[i] == 0) continue;
-    std::printf("%s\n      \"%s\": %llu", first ? "" : ",",
-                instrument::counter_name(static_cast<instrument::Counter>(i)),
-                static_cast<unsigned long long>(snapshot.counters[i]));
-    first = false;
-  }
-  std::printf("%s}\n", first ? "" : "\n    ");
-  std::printf("  },\n");
 }
 
 }  // namespace gncg::bench

@@ -53,12 +53,8 @@ bool is_nash_equilibrium(const Game& game, const StrategyProfile& s) {
 }
 
 bool is_nash_equilibrium(DeviationEngine& engine) {
-  for (int u = 0; u < engine.game().node_count(); ++u) {
-    BestResponseOptions options;
-    options.incumbent = engine.agent_cost(u);
-    options.first_improvement = true;
-    if (exact_best_response(engine, u, options).improved) return false;
-  }
+  for (int u = 0; u < engine.game().node_count(); ++u)
+    if (has_improving_deviation(engine, u)) return false;
   return true;
 }
 

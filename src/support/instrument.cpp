@@ -200,10 +200,7 @@ MetricsSnapshot metrics_snapshot() {
       for (std::size_t i = 0; i < kCounterCount; ++i)
         snapshot.counters[i] += block->slots[i];
   }
-  const ArenaStats arenas = arena_stats();
-  snapshot.arenas = arenas.arenas;
-  snapshot.arena_footprint_bytes = arenas.footprint_bytes;
-  snapshot.arena_peak_footprint_bytes = arenas.peak_footprint_bytes;
+  snapshot.arena_peak_footprint_bytes = arena_stats().peak_footprint_bytes;
   return snapshot;
 }
 
@@ -281,10 +278,7 @@ std::size_t stop_tracing(const std::string& path) {
 
 MetricsSnapshot metrics_snapshot() {
   MetricsSnapshot snapshot;
-  const ArenaStats arenas = arena_stats();
-  snapshot.arenas = arenas.arenas;
-  snapshot.arena_footprint_bytes = arenas.footprint_bytes;
-  snapshot.arena_peak_footprint_bytes = arenas.peak_footprint_bytes;
+  snapshot.arena_peak_footprint_bytes = arena_stats().peak_footprint_bytes;
   return snapshot;
 }
 

@@ -52,7 +52,7 @@
 namespace gncg::instrument {
 
 /// The fixed counter taxonomy.  Names (counter_name) are stable identifiers
-/// used in metrics JSONL records and bench context blocks; append new
+/// used in metrics JSONL records and perfbench run records; append new
 /// counters before kCount and never renumber recorded ones mid-series.
 enum class Counter : int {
   // SSSP kernels (graph/dijkstra.hpp: DijkstraBuffers, DialBuffers,
@@ -157,7 +157,7 @@ enum class Counter : int {
 inline constexpr std::size_t kCounterCount =
     static_cast<std::size_t>(Counter::kCount);
 
-/// Stable snake_case identifier of a counter (JSONL keys, context blocks).
+/// Stable snake_case identifier of a counter (JSONL keys, perfbench records).
 const char* counter_name(Counter counter);
 
 using CounterArray = std::array<std::uint64_t, kCounterCount>;
@@ -224,10 +224,8 @@ struct MetricsSnapshot {
   CounterArray counters{};
 
   // Diagnostics: worker/arena fleet state.  These depend on pool width and
-  // history, so they belong in context blocks, never in per-job records.
+  // history, so they belong in run provenance, never in per-job records.
   std::size_t counter_blocks = 0;
-  std::size_t arenas = 0;
-  std::size_t arena_footprint_bytes = 0;
   std::size_t arena_peak_footprint_bytes = 0;
 };
 

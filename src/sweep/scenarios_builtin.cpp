@@ -492,7 +492,7 @@ ScenarioResult run_approx_ne(const SweepPoint& point, Rng& rng) {
   const int budget = point.count_or<int>("budget", 16.0);
   const int certify_count = point.count_or<int>("certify_agents", 64.0);
   const auto repair_cap = point.count_or<std::size_t>("repair_cap", 0.0);
-  const bool verify_unbounded = point.extra_or("verify_unbounded", 0.0) != 0.0;
+  const bool verify_unbounded = point.count_or<bool>("verify_unbounded", 0.0);
   GNCG_CHECK(restarts >= 1 && max_moves >= 1 && budget >= 1 &&
                  certify_count >= 1,
              "approx_ne needs restarts, max_moves, budget and "

@@ -7,7 +7,7 @@
 // best-response engine (core/br_search.hpp) must match the exact searches,
 // and the DeviationEngine (core/deviation_engine.hpp) the single-move scans.
 // They live outside src/ so the shipped library carries one search per job;
-// the tests and bench_br_search link them as the `gncg_reference` library.
+// the tests link them as the `gncg_reference` library.
 #pragma once
 
 #include "core/best_response.hpp"

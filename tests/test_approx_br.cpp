@@ -261,38 +261,60 @@ TEST(ApproxLadder, CertificatesAreSoundAgainstNaiveExact) {
 
 TEST(ApproxLadder, CertificatesAreSoundAgainstExactAtModerateN) {
   // The size range the naive reference cannot reach: on uniform [0,1000]^2
-  // hosts at alpha = 100 with n up to 128, eight evenly spaced agents of a
-  // random profile run the ladder (budget 8) with exact and with truncating
-  // rows, each with and without the current-network floor.  Against the
-  // pruned exact best response bounded by the agent's incumbent, the
-  // ladder's cost may never beat the optimum, its lower bound may never
-  // exceed it, and a claim of exactness must be true.
+  // hosts at alpha = 100 with n up to 128 (shortlist budget 8), and at
+  // alpha = 10 with budget 2, eight evenly spaced agents of a random profile
+  // run the ladder with exact and with truncating rows, each with and
+  // without the current-network floor.  Against the pruned exact best
+  // response bounded by the agent's incumbent, the ladder's cost may never
+  // beat the optimum, its lower bound may never exceed it, and a claim of
+  // exactness must be true.
+  struct Input {
+    int n;
+    double alpha;
+    int budget;
+  };
   bool cap_fired = false;
-  for (const int n : {32, 64, 128}) {
+  int escaping_optima = 0;
+  std::vector<int> shortlist;
+  for (const Input input : {Input{32, 100.0, 8}, Input{64, 100.0, 8},
+                            Input{128, 100.0, 8}, Input{32, 10.0, 2},
+                            Input{64, 10.0, 2}}) {
+    const int n = input.n;
     Rng rng(910u + static_cast<std::uint64_t>(n));
     const Game game(
-        HostGraph::from_points(uniform_points(n, 2, 1000.0, rng), 2.0), 100.0);
+        HostGraph::from_points(uniform_points(n, 2, 1000.0, rng), 2.0),
+        input.alpha);
     DeviationEngine engine(game, random_profile(game, rng));
     engine.warm_distances();
     for (int i = 0; i < 8; ++i) {
       const int u = i * n / 8;
       BestResponseOptions br_options;
       br_options.incumbent = engine.agent_cost(u);
-      const double optimum =
-          std::min(exact_best_response(engine, u, br_options).cost,
-                   br_options.incumbent);
+      const auto exact = exact_best_response(engine, u, br_options);
+      const double optimum = std::min(exact.cost, br_options.incumbent);
       const double tol = 1e-9 * std::max(1.0, std::abs(optimum));
+      // An optimum buying a target off the shortlist is certified only
+      // through the ladder's escape bound.
+      game.host().candidate_targets(u, input.budget, shortlist);
+      bool escapes = false;
+      (exact.improved ? exact.strategy : engine.profile().strategy(u))
+          .for_each([&](int v) {
+            escapes = escapes || std::find(shortlist.begin(), shortlist.end(),
+                                           v) == shortlist.end();
+          });
+      if (escapes) ++escaping_optima;
       std::uint64_t exact_row_evaluations[2] = {0, 0};
       for (const std::size_t cap : {std::size_t{0}, std::size_t{16}}) {
         for (const int with_floor : {0, 1}) {
           ApproxBrOptions options;
-          options.budget = 8;
+          options.budget = input.budget;
           options.repair_cap = cap;
           options.incumbent = br_options.incumbent;
           if (with_floor) options.current_dist = &engine.distances_warm(u);
           const auto ladder = approx_best_response_ladder(engine, u, options);
           const std::string where =
-              "n " + std::to_string(n) + " agent " + std::to_string(u) +
+              "n " + std::to_string(n) + " alpha " +
+              std::to_string(input.alpha) + " agent " + std::to_string(u) +
               " cap " + std::to_string(cap) + " floor " +
               std::to_string(with_floor);
           EXPECT_GE(ladder.cost, optimum - tol) << where;
@@ -311,6 +333,9 @@ TEST(ApproxLadder, CertificatesAreSoundAgainstExactAtModerateN) {
   // The capped calls must take a different path somewhere, or no row ever
   // truncated.
   EXPECT_TRUE(cap_fired);
+  // Some optimum must leave the shortlist, or the escape bound was never
+  // what certified a lower bound.
+  EXPECT_GT(escaping_optima, 0);
 }
 
 TEST(ApproxLadder, BoundedRepairsKeepCertificatesSound) {

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/br_search.hpp"
 #include "core/deviation_engine.hpp"
 #include "core/dynamics.hpp"
+#include "core/profile_gen.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/improvement_rows.hpp"
 #include "graph/distance_matrix.hpp"
@@ -291,6 +293,76 @@ TEST(BrSearchDifferential, CertificationMatchesNaiveAcrossBackends) {
       EXPECT_EQ(fast.improved, has_improving_deviation(engine, u));
     }
   }
+}
+
+TEST(BrSearchDifferential, SettledProfilesMatchNaiveAtModerateN) {
+  // The certification workload's shape at sizes the random-profile fuzz
+  // above never reaches: a recursive-tree start settled by best-single-move
+  // dynamics (at most 8n moves), so most agents sit at or near a best
+  // response.  alpha is scaled with n per backend (dense 1-2: alpha = n;
+  // euclidean: alpha = n/4; tree: alpha = 2) to keep the NP-hard search
+  // tractable for the naive reference.  Every agent is certified by both
+  // searches, and eight evenly spaced agents get an incumbent-bounded full
+  // search from both; the verdicts, and every improving strategy, must
+  // agree.
+  int improving_agents = 0;
+  std::uint64_t point = 0;
+  for (const char* backend : {"dense", "euclidean", "tree"}) {
+    for (const int n : {24, 64}) {
+      Rng rng(stream_seed("bench_br", point++, 20190416u));
+      const std::string kind = backend;
+      const Game game =
+          kind == "euclidean"
+              ? Game(HostGraph::from_points(uniform_points(n, 2, 1000.0, rng),
+                                            2.0),
+                     n / 4.0)
+          : kind == "tree"
+              ? Game(HostGraph::from_tree(random_tree(n, rng, 1.0, 10.0)), 2.0)
+              : Game(random_one_two_host(n, 0.5, rng), n);
+      DynamicsOptions settle;
+      settle.rule = MoveRule::kBestSingleMove;
+      settle.scheduler = SchedulerKind::kRoundRobin;
+      settle.max_moves = static_cast<std::uint64_t>(8) * n;
+      settle.detect_cycles = false;
+      const auto settled =
+          run_dynamics(game, recursive_tree_profile(game, rng), settle);
+      DeviationEngine engine(game, settled.final_profile);
+      const StrategyProfile& profile = engine.profile();
+      const std::string where = kind + " n " + std::to_string(n);
+
+      for (int u = 0; u < n; ++u) {
+        BestResponseOptions options;
+        options.incumbent = engine.agent_cost(u);
+        options.first_improvement = true;
+        const auto naive = naive_exact_best_response(
+            game, profile, u, {options.incumbent, options.first_improvement});
+        const auto fast = exact_best_response(engine, u, options);
+        ASSERT_EQ(fast.improved, naive.improved) << where << " agent " << u;
+        if (naive.improved) {
+          ++improving_agents;
+          EXPECT_TRUE(fast.strategy == naive.strategy)
+              << where << " agent " << u;
+        }
+      }
+
+      for (int i = 0; i < 8; ++i) {
+        const int u = i * n / 8;
+        BestResponseOptions options;
+        options.incumbent = engine.agent_cost(u);
+        const auto naive =
+            naive_exact_best_response(game, profile, u, {options.incumbent});
+        const auto fast = exact_best_response(engine, u, options);
+        ASSERT_EQ(fast.improved, naive.improved) << where << " agent " << u;
+        if (naive.improved) {
+          EXPECT_TRUE(fast.strategy == naive.strategy)
+              << where << " agent " << u;
+        }
+      }
+    }
+  }
+  // The settled profiles must leave someone able to improve, or the
+  // differential only compared "no improvement" verdicts.
+  EXPECT_GT(improving_agents, 0);
 }
 
 TEST(BrSearchDifferential, ThreadCountInvariant) {
