@@ -71,6 +71,11 @@ struct BranchSearch {
   std::vector<double>* dist = nullptr;
   std::vector<std::pair<int, double>>* undo = nullptr;
 
+  /// Work counts, flushed once per branch (flush_counters) rather than
+  /// bumped per DFS node; evaluations are out->evaluations.
+  GNCG_IF_INSTRUMENT(std::uint64_t expansions = 0;
+                     std::uint64_t merge_writes = 0;)
+
   double bound() const { return std::min(out->cost, base_bound); }
 
   /// A branch whose index can no longer win the first-improvement fold (a
@@ -92,7 +97,6 @@ struct BranchSearch {
     const double cost = game->alpha() * setup->edge_sum(*current) +
                         Model::distance_term(*dist);
     ++out->evaluations;
-    GNCG_COUNT(kBrEvaluations);
     if (improves(cost, bound())) {
       out->cost = cost;
       out->strategy = *current;
@@ -124,7 +128,7 @@ struct BranchSearch {
 
   /// dist <- min(dist, row_i), logging every overwrite.
   void insert(std::size_t i) {
-    GNCG_COUNT(kBrExpansions);
+    GNCG_IF_INSTRUMENT(++expansions;)
     current->insert(setup->candidates[i]);
     current_weight += setup->weights[i];
     std::vector<double>& d = *dist;
@@ -136,7 +140,13 @@ struct BranchSearch {
         slot = row_t;
       }
     }
-    GNCG_COUNT_N(kBrMergeWrites, undo->size() - mark);
+    GNCG_IF_INSTRUMENT(merge_writes += undo->size() - mark;)
+  }
+
+  void flush_counters() const {
+    GNCG_COUNT_N(kBrExpansions, expansions);
+    GNCG_COUNT_N(kBrEvaluations, out->evaluations);
+    GNCG_COUNT_N(kBrMergeWrites, merge_writes);
   }
 
   void remove(std::size_t i, std::size_t mark) {
@@ -289,6 +299,7 @@ void run_search(const AgentEnvironment& env, BrSearchSetup& setup,
           *search.dist = base;
           search.undo->clear();
           search.expand(i);
+          search.flush_counters();
 
           if (out.improved && first_improvement) {
             int expected = winner.load(std::memory_order_relaxed);

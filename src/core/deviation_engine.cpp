@@ -311,14 +311,13 @@ void DeviationEngine::repair(int u, AgentCache& cache) const {
   // rounded length and satisfies every edge constraint, so the row is the
   // current graph's least fixpoint -- bitwise what a refill computes.
   std::uint64_t relaxations = 0;
-  std::vector<detail::HeapEntry>& heap = rs.heap;
-  heap.clear();
+  detail::SsspQueue& queue = rs.queue;
+  queue.clear();
   const auto relax = [&](int y, double cand) {
     if (!(cand < d[idx(y)])) return;
     ++relaxations;
     d[idx(y)] = cand;
-    heap.emplace_back(cand, y);
-    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    queue.push(cand, y);
   };
   for (int x : rs.affected) d[idx(x)] = kInf;
   for (int x : rs.affected)
@@ -330,10 +329,8 @@ void DeviationEngine::repair(int u, AgentCache& cache) const {
     relax(e.b, d[idx(e.a)] + e.weight);
     relax(e.a, d[idx(e.b)] + e.weight);
   });
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    const auto [dx, x] = heap.back();
-    heap.pop_back();
+  while (!queue.empty()) {
+    const auto [dx, x] = queue.pop();
     if (dx > d[idx(x)]) continue;  // stale entry
     for (const auto& nb : adjacency_.neighbors(x)) relax(nb.to, dx + nb.weight);
   }

@@ -47,7 +47,7 @@
 // and draws every scratch buffer from the calling worker's ScratchArena, so
 // steady-state move evaluation performs no heap allocation.  On hosts whose
 // weights are small integers (unit, 1-2, integer trees) the kernels switch
-// from the binary heap to the bucket-queue ("dial") Dijkstra -- distances
+// from the heap queue to the bucket-queue ("dial") Dijkstra -- distances
 // are bit-identical either way.
 //
 // Scan order and tie-breaking replicate the naive reference scans
@@ -132,7 +132,7 @@ class DeviationEngine {
   /// HostGraph::dial_weight_bound).
   bool dial_enabled() const { return dial_bound_ > 0; }
 
-  /// Forces the binary-heap Dijkstra path even on integer-weight hosts.
+  /// Forces the heap-queue Dijkstra path even on integer-weight hosts.
   /// Bench/test knob (dial-vs-heap comparisons); distances are bit-identical
   /// either way, so this never changes results.
   void disable_dial() { dial_bound_ = 0; }

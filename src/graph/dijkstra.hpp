@@ -10,12 +10,16 @@
 //    of thousands of times per agent).
 //
 // Weights are non-negative doubles (zero allowed); unreachable nodes get kInf.
+//
+// Every heap-driven kernel of the library -- dijkstra_over, DijkstraBuffers,
+// IncrementalSssp's repairs, the deviation engine's row repair and the
+// edge-betweenness sweep -- runs on the one queue below, detail::SsspQueue.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -32,11 +36,6 @@ struct SsspResult {
 };
 
 namespace detail {
-
-/// Min-heap entry: (distance, node).
-using HeapEntry = std::pair<double, int>;
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
 
 /// Buffer-shrink policy for reusable workspaces: a vector whose capacity
 /// exceeds kShrinkFactor times the current need (with a floor below which
@@ -60,6 +59,120 @@ void release_excess(std::vector<T>& v, std::size_t needed) {
   }
 }
 
+/// Queue entry: (distance, node).
+using HeapEntry = std::pair<double, int>;
+
+/// The single-source shortest-path queue: a 4-ary min-heap over (distance,
+/// node) pairs, popping in the lexicographic order of std::greater<HeapEntry>
+/// (distance first, then node id).
+///
+/// Order contract.  Every kernel pushes a node only when its distance
+/// strictly decreases, so the queue never holds two equal (distance, node)
+/// pairs -- and a total order over distinct keys leaves any correct priority
+/// queue exactly one pop sequence.  This queue therefore pops what the
+/// binary heaps it replaced popped, entry for entry: floating-point
+/// relaxation order, distances, parents and every pop/relaxation counter
+/// are unchanged (tests/test_sssp_queue.cpp is the gate, against a frozen
+/// binary-heap Dijkstra in tests/reference/).
+///
+/// Keys.  A non-negative double's bit pattern orders like the double, so
+/// each entry is one 128-bit integer, distance bits above the node id, and
+/// every compare is a single branch-free integer compare.  Distances must
+/// be >= 0 (NaN excluded); -0.0 is stored as +0.0 (they compare equal, so
+/// the order is unchanged, and a popped zero is +0.0).
+///
+/// Capacity: push() tracks the run's high-water mark, and recycle() applies
+/// the workspaces' shrink policy to it (see release_excess).
+class SsspQueue {
+ public:
+  bool empty() const { return keys_.empty(); }
+  std::size_t size() const { return keys_.size(); }
+  std::size_t capacity() const { return keys_.capacity(); }
+  std::size_t footprint_bytes() const { return keys_.capacity() * sizeof(Key); }
+
+  void clear() { keys_.clear(); }
+
+  /// Clears the queue for a new run.  The need estimate decays: it is the
+  /// previous run's peak, floored at half the prior estimate, so workloads
+  /// that alternate run sizes keep their capacity instead of
+  /// shrink-then-regrowing, while a genuine downshift still releases within
+  /// a logarithmic number of runs.
+  void recycle() {
+    need_ = std::max(peak_, need_ / 2);
+    release_excess(keys_, need_);
+    peak_ = 0;
+    keys_.clear();
+  }
+
+  void push(double d, int v) {
+    GNCG_DASSERT(d >= 0.0 && v >= 0);
+    const Key key = pack(d, v);
+    std::size_t i = keys_.size();
+    keys_.push_back(key);
+    if (keys_.size() > peak_) peak_ = keys_.size();
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!(key < keys_[parent])) break;
+      keys_[i] = keys_[parent];
+      i = parent;
+    }
+    keys_[i] = key;
+  }
+
+  /// The minimum entry.  Requires a non-empty queue.
+  HeapEntry top() const { return unpack(keys_.front()); }
+
+  /// Removes and returns the minimum entry.  Requires a non-empty queue.
+  HeapEntry pop() {
+    const Key min = keys_.front();
+    const Key last = keys_.back();
+    keys_.pop_back();
+    const std::size_t n = keys_.size();
+    if (n > 0) {
+      // Move the hole at the root down along minimum children until `last`
+      // fits.
+      std::size_t i = 0;
+      for (;;) {
+        const std::size_t first = kArity * i + 1;
+        if (first >= n) break;
+        const std::size_t end = std::min(first + kArity, n);
+        std::size_t best = first;
+        Key best_key = keys_[first];
+        for (std::size_t c = first + 1; c < end; ++c) {
+          const Key k = keys_[c];
+          if (k < best_key) {
+            best_key = k;
+            best = c;
+          }
+        }
+        if (!(best_key < last)) break;
+        keys_[i] = best_key;
+        i = best;
+      }
+      keys_[i] = last;
+    }
+    return unpack(min);
+  }
+
+ private:
+  using Key = unsigned __int128;
+  static constexpr std::size_t kArity = 4;
+
+  static Key pack(double d, int v) {
+    // d + 0.0 turns -0.0 into +0.0 and leaves every other value unchanged.
+    return (static_cast<Key>(std::bit_cast<std::uint64_t>(d + 0.0)) << 64) |
+           static_cast<std::uint32_t>(v);
+  }
+  static HeapEntry unpack(Key key) {
+    return {std::bit_cast<double>(static_cast<std::uint64_t>(key >> 64)),
+            static_cast<int>(static_cast<std::uint32_t>(key))};
+  }
+
+  std::vector<Key> keys_;
+  std::size_t peak_ = 0;  ///< high-water mark since the last recycle()
+  std::size_t need_ = 0;  ///< decaying need estimate (shrink policy)
+};
+
 }  // namespace detail
 
 /// Dijkstra over an implicit graph.  `neighbor_fn(u, visit)` must invoke
@@ -77,12 +190,11 @@ void dijkstra_over(int n, int source, NeighborFn&& neighbor_fn,
   GNCG_IF_INSTRUMENT(std::uint64_t pops = 0; std::uint64_t relaxations = 0;)
   dist.assign(static_cast<std::size_t>(n), kInf);
   if (parent != nullptr) parent->assign(static_cast<std::size_t>(n), -1);
-  detail::MinHeap heap;
+  detail::SsspQueue queue;
   dist[static_cast<std::size_t>(source)] = 0.0;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
+  queue.push(0.0, source);
+  while (!queue.empty()) {
+    const auto [d, u] = queue.pop();
     GNCG_IF_INSTRUMENT(++pops;)
     if (d > dist[static_cast<std::size_t>(u)]) continue;  // stale entry
     neighbor_fn(u, [&](int v, double w) {
@@ -92,7 +204,7 @@ void dijkstra_over(int n, int source, NeighborFn&& neighbor_fn,
         GNCG_IF_INSTRUMENT(++relaxations;)
         dist[static_cast<std::size_t>(v)] = candidate;
         if (parent != nullptr) (*parent)[static_cast<std::size_t>(v)] = u;
-        heap.emplace(candidate, v);
+        queue.push(candidate, v);
       }
     });
   }
@@ -100,16 +212,15 @@ void dijkstra_over(int n, int source, NeighborFn&& neighbor_fn,
   GNCG_COUNT_N(kSsspHeapRelaxations, relaxations);
 }
 
-/// Reusable Dijkstra workspace: the distance vector and the heap's backing
+/// Reusable Dijkstra workspace: the distance vector and the queue's backing
 /// store survive across runs, so hot paths (single-move scans, best-response
 /// candidate evaluation, the deviation engine's cache refills) do not pay a
-/// heap/vector allocation per call.  Not thread-safe; use the per-thread
+/// queue/vector allocation per call.  Not thread-safe; use the per-thread
 /// instance from tls_dijkstra_buffers() inside parallel regions.
 ///
-/// The heap is a binary min-heap over (distance, node) pairs driven by
-/// std::push_heap/std::pop_heap with the same comparator std::priority_queue
-/// uses, so pop order (and therefore floating-point relaxation order) is
-/// identical to dijkstra_over's.
+/// Same queue, same (distance, node) pop order as dijkstra_over, so the
+/// floating-point relaxation order -- and every distance bit and counter --
+/// is identical to it.
 class DijkstraBuffers {
  public:
   /// Runs Dijkstra from `source` over the implicit graph `neighbor_fn`,
@@ -121,21 +232,15 @@ class DijkstraBuffers {
     GNCG_CHECK(source >= 0 && source < n, "source out of range");
     GNCG_COUNT(kSsspHeapRuns);
     GNCG_IF_INSTRUMENT(std::uint64_t pops = 0; std::uint64_t relaxations = 0;)
-    // Shrink before reuse: dist needs exactly n slots; the heap's need is a
-    // decaying peak estimate (previous run's peak, floored at half the prior
-    // estimate), so workloads that alternate run sizes keep their capacity
-    // instead of shrink-then-regrowing, while a genuine downshift still
-    // releases within a logarithmic number of runs.
+    // Shrink before reuse: dist needs exactly n slots, the queue a decaying
+    // peak estimate (SsspQueue::recycle).
     detail::release_excess(dist, static_cast<std::size_t>(n));
-    heap_need_ = std::max(heap_peak_, heap_need_ / 2);
-    detail::release_excess(heap_, heap_need_);
-    heap_peak_ = 0;
+    queue_.recycle();
     dist.assign(static_cast<std::size_t>(n), kInf);
-    heap_.clear();
     dist[static_cast<std::size_t>(source)] = 0.0;
-    push(0.0, source);
-    while (!heap_.empty()) {
-      const auto [d, u] = pop();
+    queue_.push(0.0, source);
+    while (!queue_.empty()) {
+      const auto [d, u] = queue_.pop();
       GNCG_IF_INSTRUMENT(++pops;)
       if (d > dist[static_cast<std::size_t>(u)]) continue;  // stale entry
       neighbor_fn(u, [&](int v, double w) {
@@ -144,7 +249,7 @@ class DijkstraBuffers {
         if (candidate < dist[static_cast<std::size_t>(v)]) {
           GNCG_IF_INSTRUMENT(++relaxations;)
           dist[static_cast<std::size_t>(v)] = candidate;
-          push(candidate, v);
+          queue_.push(candidate, v);
         }
       });
     }
@@ -164,35 +269,19 @@ class DijkstraBuffers {
 
   // Capacity observers for the shrink-policy regression tests.
   std::size_t dist_capacity() const { return dist_.capacity(); }
-  std::size_t heap_capacity() const { return heap_.capacity(); }
+  std::size_t heap_capacity() const { return queue_.capacity(); }
   std::size_t footprint_bytes() const {
-    return dist_.capacity() * sizeof(double) +
-           heap_.capacity() * sizeof(detail::HeapEntry);
+    return dist_.capacity() * sizeof(double) + queue_.footprint_bytes();
   }
 
  private:
-  void push(double d, int v) {
-    heap_.emplace_back(d, v);
-    if (heap_.size() > heap_peak_) heap_peak_ = heap_.size();
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  }
-
-  detail::HeapEntry pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const detail::HeapEntry entry = heap_.back();
-    heap_.pop_back();
-    return entry;
-  }
-
   std::vector<double> dist_;
-  std::vector<detail::HeapEntry> heap_;
-  std::size_t heap_peak_ = 0;  ///< high-water mark of the previous run
-  std::size_t heap_need_ = 0;  ///< decaying need estimate (shrink policy)
+  detail::SsspQueue queue_;
 };
 
 /// Bucket-queue ("dial") Dijkstra workspace for hosts whose finite weights
 /// are all non-negative integers bounded by C.  Distances are then integers,
-/// and a circular array of C+1 rings replaces the binary heap: pushes and
+/// and a circular array of C+1 rings replaces the heap queue: pushes and
 /// pops are O(1) instead of O(log m), and the sweep touches rings in strictly
 /// increasing distance order.
 ///

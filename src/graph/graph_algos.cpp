@@ -1,7 +1,6 @@
 #include "graph/graph_algos.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <queue>
 #include <stack>
@@ -181,14 +180,13 @@ std::vector<double> edge_betweenness(const WeightedGraph& g) {
     std::vector<double> sigma(static_cast<std::size_t>(n), 0.0);
     std::vector<std::vector<int>> preds(static_cast<std::size_t>(n));
     std::vector<int> order;  // nodes in non-decreasing settled distance
-    detail::MinHeap heap;
+    detail::SsspQueue queue;
     dist[static_cast<std::size_t>(src)] = 0.0;
     sigma[static_cast<std::size_t>(src)] = 1.0;
-    heap.emplace(0.0, src);
+    queue.push(0.0, src);
     std::vector<char> settled(static_cast<std::size_t>(n), 0);
-    while (!heap.empty()) {
-      const auto [d, u] = heap.top();
-      heap.pop();
+    while (!queue.empty()) {
+      const auto [d, u] = queue.pop();
       if (settled[static_cast<std::size_t>(u)]) continue;
       settled[static_cast<std::size_t>(u)] = 1;
       order.push_back(u);
@@ -200,7 +198,7 @@ std::vector<double> edge_betweenness(const WeightedGraph& g) {
           sigma[static_cast<std::size_t>(nb.to)] =
               sigma[static_cast<std::size_t>(u)];
           preds[static_cast<std::size_t>(nb.to)].assign(1, u);
-          heap.emplace(nd, nb.to);
+          queue.push(nd, nb.to);
         } else if (nd <= dv + kTieEps && !settled[static_cast<std::size_t>(nb.to)]) {
           sigma[static_cast<std::size_t>(nb.to)] +=
               sigma[static_cast<std::size_t>(u)];

@@ -4,21 +4,18 @@ namespace gncg {
 
 void IncrementalSssp::reset(const std::vector<double>& dist) {
   // Same shrink policy as DijkstraBuffers: release capacities left over
-  // from a much larger previous search.  Log/heap needs are *decaying peak
+  // from a much larger previous search.  Log/queue needs are *decaying peak
   // estimates* -- the estimate is the previous search's peak, floored at
   // half the prior estimate -- so a workload alternating small probes and
   // large floods never shrink-then-regrows, while a genuine downshift
   // still releases within a logarithmic number of resets.
   log_need_ = std::max(log_peak_, log_need_ / 2);
-  heap_need_ = std::max(heap_peak_, heap_need_ / 2);
   detail::release_excess(dist_, dist.size());
   detail::release_excess(log_, log_need_);
-  detail::release_excess(heap_, heap_need_);
+  queue_.recycle();
   log_peak_ = 0;
-  heap_peak_ = 0;
   dist_ = dist;
   log_.clear();
-  heap_.clear();
 }
 
 void IncrementalSssp::rollback(Checkpoint mark) {

@@ -33,7 +33,7 @@
 // FrontierPolicy that truncates the decrease-only propagation after a cap
 // on distance overwrites.  A truncated repair leaves the maintained
 // vector a per-node *upper* bound on the true fixpoint (every stored value
-// is still the rounded length of a real path) and reports the minimum heap
+// is still the rounded length of a real path) and reports the minimum queue
 // key F left unexplored.  The truncation invariant callers build floors on:
 //
 //     true(y) >= min(dist(y), F)   for every node y,
@@ -75,7 +75,7 @@ struct RepairOutcome {
   /// means the repair ran to the exact fixpoint (bitwise equal to the
   /// unbounded repair), the slack-0 case.
   bool truncated = false;
-  /// Minimum heap key left unexplored at truncation (kInf when exact):
+  /// Minimum queue key left unexplored at truncation (kInf when exact):
   /// true(y) >= min(dist(y), frontier_min) for every node y.
   double frontier_min = kInf;
 };
@@ -155,13 +155,13 @@ class IncrementalSssp {
   std::size_t footprint_bytes() const {
     return dist_.capacity() * sizeof(double) +
            log_.capacity() * sizeof(std::pair<int, double>) +
-           heap_.capacity() * sizeof(detail::HeapEntry);
+           queue_.footprint_bytes();
   }
 
  private:
   /// Shared repair body.  `Bounded` is a compile-time switch so the exact
   /// path carries no policy checks (identical machine code to the
-  /// pre-bounded kernel).  The cap test runs at pop time against the heap
+  /// pre-bounded kernel).  The cap test runs at pop time against the queue
   /// minimum, so `frontier_min` is exactly the cheapest improvement
   /// left unexplored and the relaxation count overshoots the cap by at most
   /// one adjacency list.
@@ -179,21 +179,22 @@ class IncrementalSssp {
     [[maybe_unused]] std::size_t writes = 1;  // algorithmic cap, not metrics
     log_.emplace_back(v, dist_[vi]);
     dist_[vi] = cand;
-    heap_.clear();
-    push(cand, v);
-    while (!heap_.empty()) {
+    queue_.clear();
+    queue_.push(cand, v);
+    while (!queue_.empty()) {
       if constexpr (Bounded) {
         if (writes >= policy.node_cap) {
-          // heap_[0] is the min entry (std::push_heap with greater<>).  A
-          // stale minimum only lowers frontier_min, which stays admissible.
+          // The queue's minimum key, in the (distance, node) order every
+          // kernel pops in.  A stale minimum only lowers frontier_min, which
+          // stays admissible.
           outcome.truncated = true;
-          outcome.frontier_min = heap_[0].first;
-          heap_.clear();
+          outcome.frontier_min = queue_.top().first;
+          queue_.clear();
           GNCG_COUNT(kSsspBoundedTruncations);
           break;
         }
       }
-      const auto [d, x] = pop();
+      const auto [d, x] = queue_.pop();
       if (d > dist_[static_cast<std::size_t>(x)]) continue;  // stale entry
       neighbor_fn(x, [&](int y, double w) {
         GNCG_DASSERT(w >= 0.0);
@@ -204,7 +205,7 @@ class IncrementalSssp {
           if constexpr (Bounded) ++writes;
           log_.emplace_back(y, dist_[yi]);
           dist_[yi] = candidate;
-          push(candidate, y);
+          queue_.push(candidate, y);
         }
       });
     }
@@ -213,30 +214,15 @@ class IncrementalSssp {
     return outcome;
   }
 
-  void push(double d, int v) {
-    heap_.emplace_back(d, v);
-    if (heap_.size() > heap_peak_) heap_peak_ = heap_.size();
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  }
-
-  detail::HeapEntry pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const detail::HeapEntry entry = heap_.back();
-    heap_.pop_back();
-    return entry;
-  }
-
   std::vector<double> dist_;
   std::vector<std::pair<int, double>> log_;
-  std::vector<detail::HeapEntry> heap_;
-  std::size_t log_peak_ = 0;   ///< high-water marks of the previous search
-  std::size_t heap_peak_ = 0;
-  /// Decaying need estimates driving reset()'s shrink policy: the estimate
+  detail::SsspQueue queue_;  ///< repair queue, recycled by reset()
+  std::size_t log_peak_ = 0;  ///< high-water mark of the previous search
+  /// Decaying need estimate driving reset()'s shrink policy: the estimate
   /// only halves per reset, so a workload alternating small and large
   /// searches (capped facility-row builds vs exact ones) keeps
   /// its capacity instead of shrink-then-regrowing every other reset.
   std::size_t log_need_ = 0;
-  std::size_t heap_need_ = 0;
 };
 
 }  // namespace gncg

@@ -200,7 +200,7 @@ class EuclideanHostBackend final : public HostBackend {
   /// distances are generally irrational even on integer coordinates, so
   /// this backend never certifies the integer-weight capability and
   /// HostGraph::dial_weight_bound stays 0 on euclidean hosts -- geometric
-  /// SSSP always takes the binary-heap kernel.  (Certifying the rare
+  /// SSSP always takes the heap-queue kernel.  (Certifying the rare
   /// integral layouts, e.g. 1-norm grids, would take the O(n^2) pairwise
   /// scan this backend exists to avoid.)  Kept explicit rather than
   /// inherited so the opt-out is a documented decision, not an accident;

@@ -119,7 +119,7 @@ class HostGraph {
 
   /// Bucket-queue eligibility: the backend's integer bound as an int when
   /// the capability is present *and* small enough that a C+1-ring dial queue
-  /// beats the binary heap; 0 otherwise (use the heap).  SSSP kernels key
+  /// beats the heap queue; 0 otherwise (use the heap).  SSSP kernels key
   /// off this single value.
   int dial_weight_bound() const {
     const double bound = backend_->integer_weight_bound();

@@ -17,7 +17,7 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += (scan_weights_.capacity() + scan_memo_.capacity()) * sizeof(double);
   total += repair_.affected_mark.capacity() * sizeof(char);
   total += repair_.affected.capacity() * sizeof(int);
-  total += repair_.heap.capacity() * sizeof(detail::HeapEntry);
+  total += repair_.queue.footprint_bytes();
   total += br_.setup.footprint_bytes();
   total += br_.outcomes.capacity() * sizeof(BrScratch::Outcome);
   total += br_branch_.undo.capacity() * sizeof(std::pair<int, double>);

@@ -6,8 +6,8 @@
 // to_vector(), DFS stacks, candidate/weight rows).  ScratchArena gathers all
 // of that per-thread state into one object:
 //
-//   * the binary-heap and bucket-queue Dijkstra workspaces, behind the one
-//     kernel selector sssp_into,
+//   * the heap (detail::SsspQueue) and bucket-queue Dijkstra workspaces,
+//     behind the one kernel selector sssp_into,
 //   * the IncrementalSssp instance that builds best-response facility rows,
 //   * the deviation engine's scan scratch (owned-target list, side marks,
 //     DFS stack, distance-sum vector, host-weight row, addition-sum memo)
@@ -52,7 +52,7 @@ class ScratchArena {
  public:
   /// SSSP from `source` into `dist` with this arena's workspaces: the
   /// bucket-queue kernel when `dial_bound` > 0 (HostGraph::dial_weight_bound
-  /// certified integer weights up to it), the binary heap otherwise.  Both
+  /// certified integer weights up to it), the heap queue otherwise.  Both
   /// give bitwise-equal distances; this is the one place that picks between
   /// them.
   template <class NeighborFn>
@@ -103,7 +103,8 @@ class ScratchArena {
   struct RepairScratch {
     std::vector<char> affected_mark;  ///< per node; all zero between repairs
     std::vector<int> affected;  ///< marked nodes, also the marking worklist
-    std::vector<detail::HeapEntry> heap;  ///< decrease-only Dijkstra queue
+    detail::SsspQueue queue;  ///< decrease-only Dijkstra queue (cleared,
+                              ///< never shrunk, per repair)
   };
   RepairScratch& repair() { return repair_; }
 

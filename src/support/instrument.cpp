@@ -156,16 +156,16 @@ void json_escape_into(std::string& out, const char* text) {
 
 namespace detail {
 
-CounterBlock& tls_counters() {
-  thread_local CounterBlock* block = [] {
-    auto owned = std::make_unique<CounterBlock>();
-    CounterBlock* raw = owned.get();
+CounterBlock& register_counter_block() {
+  auto owned = std::make_unique<CounterBlock>();
+  CounterBlock* raw = owned.get();
+  {
     Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
     reg.blocks.push_back(std::move(owned));
-    return raw;
-  }();
-  return *block;
+  }
+  tls_counter_block = raw;
+  return *raw;
 }
 
 std::atomic<bool>& tracing_flag() {

@@ -57,7 +57,7 @@ namespace gncg::instrument {
 enum class Counter : int {
   // SSSP kernels (graph/dijkstra.hpp: DijkstraBuffers, DialBuffers,
   // dijkstra_over -- the free function serves host-closure rows).
-  kSsspHeapRuns,         ///< binary-heap Dijkstra runs
+  kSsspHeapRuns,         ///< heap-queue Dijkstra runs
   kSsspHeapPops,         ///< heap pops (stale entries included)
   kSsspHeapRelaxations,  ///< successful distance decreases
   kSsspDialRuns,         ///< bucket-queue Dijkstra runs
@@ -175,10 +175,24 @@ struct alignas(64) CounterBlock {
   CounterArray slots{};
 };
 
-/// The calling thread's block, registered on first use.  The registry owns
-/// every block for the process lifetime (like the arena registry), so
-/// flushes stay meaningful after worker threads exit.
-CounterBlock& tls_counters();
+/// The calling thread's block, null until its first bump.  Constant-
+/// initialized, so reading it is a plain thread-local load: no guard and no
+/// call on the hot path.
+inline constinit thread_local CounterBlock* tls_counter_block = nullptr;
+
+/// Slow path of tls_counters(): creates and registers the calling thread's
+/// block and publishes it in tls_counter_block.  The registry owns every
+/// block for the process lifetime (like the arena registry), so flushes
+/// stay meaningful after worker threads exit.
+CounterBlock& register_counter_block();
+
+/// The calling thread's block, registered on first use.
+inline CounterBlock& tls_counters() {
+  CounterBlock* block = tls_counter_block;
+  if (block == nullptr) [[unlikely]]
+    return register_counter_block();
+  return *block;
+}
 
 }  // namespace detail
 
