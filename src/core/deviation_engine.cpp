@@ -353,9 +353,32 @@ const DeviationEngine::AgentCache& DeviationEngine::warmed(int u) const {
 }
 
 void DeviationEngine::warm_distances() {
+  if (warm_epoch_ == epoch_) return;
   const int n = game_->node_count();
-  parallel_for(0, static_cast<std::size_t>(n),
-               [&](std::size_t u) { ensure(static_cast<int>(u)); });
+  parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t u) {
+    if (caches_[u].epoch != epoch_) ensure(static_cast<int>(u));
+  });
+  warm_epoch_ = epoch_;
+}
+
+void DeviationEngine::warm_for_scan() {
+  if (warm_epoch_ == epoch_) return;
+  // Repairs run here, leaving each row in this core's cache for the scan
+  // that reads it next; full refills (one Dijkstra each) fan out.  The
+  // serial repairs beat a pooled pass where they were measured: n <= 256
+  // with one move between warms (perfbench's dynamics round-robin and
+  // br_certify settles).  Larger n, or many logged edits per warm, has not
+  // been measured.
+  std::vector<int> refills;
+  const int n = game_->node_count();
+  for (int u = 0; u < n; ++u) {
+    const std::uint64_t row_epoch = caches_[idx(u)].epoch;
+    if (row_epoch == epoch_) continue;
+    if (row_epoch >= log_floor_) ensure(u);
+    else refills.push_back(u);
+  }
+  parallel_for(0, refills.size(), [&](std::size_t i) { ensure(refills[i]); });
+  warm_epoch_ = epoch_;
 }
 
 const std::vector<double>& DeviationEngine::distances(int u) {
@@ -689,32 +712,32 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
 }
 
 SingleMoveResult DeviationEngine::best_single_move(int u) {
-  warm_distances();
+  warm_for_scan();
   return scan_moves(u, {true, true, true}, false);
 }
 
 SingleMoveResult DeviationEngine::best_addition(int u) {
-  warm_distances();
+  warm_for_scan();
   return scan_moves(u, {true, false, false}, false);
 }
 
 SingleMoveResult DeviationEngine::best_swap(int u) {
-  warm_distances();
+  warm_for_scan();
   return scan_moves(u, {false, false, true}, false);
 }
 
 bool DeviationEngine::has_improving_single_move(int u) {
-  warm_distances();
+  warm_for_scan();
   return scan_moves(u, {true, true, true}, true).improved;
 }
 
 bool DeviationEngine::has_improving_addition(int u) {
-  warm_distances();
+  warm_for_scan();
   return scan_moves(u, {true, false, false}, true).improved;
 }
 
 bool DeviationEngine::has_improving_swap(int u) {
-  warm_distances();
+  warm_for_scan();
   return scan_moves(u, {false, false, true}, true).improved;
 }
 

@@ -61,9 +61,20 @@
 // mutation still bumps the epoch, so `distances(u)` / `distance_cost(u)` /
 // `agent_cost(u)` are valid only until the next topology mutation, and
 // references returned by `distances`/`adjacency` are invalidated by any
-// mutation.  `*_warm` members require `warm_distances()` after the last
-// mutation and are const + thread-safe, which is what the dynamics
-// scheduler's parallel proposal batching runs on.
+// mutation.  `*_warm` members require a warm pass (`warm_distances()` or
+// `warm_for_scan()`) after the last mutation and are const + thread-safe,
+// which is what the dynamics scheduler's parallel proposal batching runs
+// on.  The engine remembers the epoch of its last warm pass: a warm pass at
+// that epoch returns at once, dispatching nothing, and since every topology
+// mutation and set_profile bump the epoch, the remembered epoch goes stale
+// by itself.  The two passes differ only in where stale rows are brought
+// up to date.  `warm_distances()` (batch scans, whose workers all read the
+// rows) repairs and refills every stale row over the worker pool.
+// `warm_for_scan()` (one agent's scan on the calling thread: the
+// single-agent entry points and the sequential schedulers) repairs each
+// row the edit log covers on the calling thread and fans out only full
+// refills -- never-filled rows, rows after set_profile and rows staler
+// than the log.  Either way every row ends bitwise equal to a refill.
 //
 // Row repair: `link`/`unlink` append every built-topology edge edit,
 // stamped with the epoch it bumps to, to a fixed-capacity edit log.  A
@@ -177,8 +188,15 @@ class DeviationEngine {
   /// cost(u, G(s)) = buying_cost(u) + distance_cost(u).
   double agent_cost(int u);
 
-  /// Ensures every agent's distance cache is valid (parallel over agents).
+  /// Batch warm: brings every agent's distance row to the current epoch,
+  /// repairing and refilling stale rows over the worker pool.  Returns at
+  /// once when the engine is already warm at the current epoch.
   void warm_distances();
+
+  /// Single-scan warm: the same rows as warm_distances(), but rows the edit
+  /// log covers are repaired on the calling thread, where the scan that
+  /// follows reads them; only full refills fan out over the pool.
+  void warm_for_scan();
 
   // --- move evaluation ---
 
@@ -209,7 +227,7 @@ class DeviationEngine {
   bool has_improving_swap(int u);
 
   // --- warm (const, thread-safe) variants for parallel proposal batching.
-  // Require warm_distances() after the last mutation. ---
+  // Require a warm pass after the last mutation. ---
 
   double distance_cost_warm(int u) const;
   double agent_cost_warm(int u) const;
@@ -316,6 +334,9 @@ class DeviationEngine {
   CsrAdjacency adjacency_;
   std::vector<AgentCache> caches_;
   std::uint64_t epoch_ = 1;
+  /// Epoch of the last warm pass; every row is current while it equals
+  /// epoch_.
+  std::uint64_t warm_epoch_ = 0;
   /// Ring of the last kEditLogCapacity edge edits (edit i at slot
   /// i % capacity); edits_logged_ counts every edit ever appended.
   std::vector<EdgeEdit> edit_log_;

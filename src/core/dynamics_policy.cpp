@@ -442,9 +442,13 @@ std::vector<Activation> SchedulerPolicy::next_round(DeviationEngine& engine,
 Proposal propose(DeviationEngine& engine, const MoveRulePolicy& rule, int u) {
   // Single-move scans read every agent's cached vector; the other rules
   // only read u's (the BR/UMFL searches run their own Dijkstras), so a
-  // full warm-up would waste n-1 SSSP per proposal.
+  // full warm-up would waste n-1 SSSP per proposal.  The scan runs on this
+  // thread, so it takes the single-scan warm: no work after a silent probe,
+  // and after a move the logged rows are repaired here, where the scan
+  // reads them.  propose_all keeps the batch warm: its scans run on every
+  // worker.
   if (rule.wants_full_warm()) {
-    engine.warm_distances();
+    engine.warm_for_scan();
   } else {
     engine.distance_cost(u);
   }

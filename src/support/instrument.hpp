@@ -90,7 +90,10 @@ enum class Counter : int {
   kLadderCandidateBudget,  ///< shortlist budget requested
 
   // Deviation engine (core/deviation_engine.cpp, graph/csr_adjacency.cpp).
-  kEngineCacheHits,       ///< distance-cache queries served warm
+  kEngineCacheHits,       ///< row queries (distances, distance_cost,
+                          ///< addition_distance_cost) served at the current
+                          ///< epoch; warm passes skip current rows and
+                          ///< count none
   kEngineCacheMisses,     ///< distance-cache refills (one Dijkstra each)
   kEngineEpochBumps,      ///< topology mutations invalidating the caches
   kEngineCsrRelocations,  ///< CSR slices relocated on slack exhaustion

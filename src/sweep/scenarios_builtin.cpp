@@ -135,7 +135,6 @@ ScenarioResult run_br_dynamics(const SweepPoint& point, Rng& rng) {
   for (int round = 0; round < rounds; ++round) {
     const Stopwatch round_timer;
     int improved = 0;
-    engine.warm_distances();
     for (int i = 0; i < per_round; ++i) {
       const int u = static_cast<int>(
           (static_cast<long long>(i) * point.n) / per_round);
@@ -621,6 +620,16 @@ ScenarioResult run_approx_ne(const SweepPoint& point, Rng& rng) {
              "approx_ne materialized a dense matrix ("
                  << dense_cells_delta << " cells) on the euclidean path");
 
+  // The sample speaks for an equilibrium only when the certified run itself
+  // converged: a run stopped by a detected cycle or the move cap can have
+  // improving agents outside the sample, whatever the sample says.
+  const DynamicsResult& stopped = certified_run->result;
+  const char* equilibrium =
+      stopped.cycle_found  ? "stopped on a cycle"
+      : !stopped.converged ? "stopped at max_moves"
+      : improving == 0     ? "approx NE (no improving agent sampled)"
+                           : "not settled";
+
   ScenarioRow row;
   row.metric("restarts", restarts)
       .metric("budget", budget)
@@ -639,9 +648,7 @@ ScenarioResult run_approx_ne(const SweepPoint& point, Rng& rng) {
       .metric("dynamics_ms", dynamics_ms)
       .metric("certify_ms", certify_ms)
       .tag("rule", "approx_ladder")
-      .tag("equilibrium",
-           improving == 0 ? "approx NE (no improving agent sampled)"
-                          : "not settled");
+      .tag("equilibrium", equilibrium);
   return {{std::move(row)}};
 }
 

@@ -23,6 +23,12 @@
 // profiles.  It also probes the floor's soundness on every backend
 // (including coordinates around 1e6, where rounding is largest) and the
 // thread-count independence of parallel warm proposals.
+//
+// The DeviationEngineWarm suite gates where warm passes run: a warm engine
+// dispatches no pool region, and the single-scan warm repairs logged rows
+// on the calling thread and fans out only full refills.  That its rows and
+// scans are bitwise the batch warm's at any thread count is checked by
+// DeviationEngineRepair.WarmDistancesByteIdenticalAcrossThreadCounts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -670,22 +676,38 @@ TEST(DeviationEngineRepair, WarmDistancesByteIdenticalAcrossThreadCounts) {
     const StrategyProfile start = random_profile(game, rng, 0.05);
     DeviationEngine serial(game, start);
     DeviationEngine pooled(game, start);
-    Rng serial_rng(77 + family), pooled_rng(77 + family);
+    // Warmed by its single-agent scans (warm_for_scan) instead.
+    DeviationEngine scanned(game, start);
+    Rng serial_rng(77 + family), pooled_rng(77 + family),
+        scanned_rng(77 + family);
     for (int step = 0; step < 40; ++step) {
       random_mutation(serial, serial_rng);
       random_mutation(pooled, pooled_rng);
+      random_mutation(scanned, scanned_rng);
       set_default_thread_count(1);
       serial.warm_distances();
       set_default_thread_count(8);
       pooled.warm_distances();
+      const int v = step % n;
+      set_default_thread_count(step % 2 == 0 ? 1 : 4);
+      const SingleMoveResult move = scanned.best_single_move(v);
+      for (const DeviationEngine* batch : {&serial, &pooled}) {
+        const SingleMoveResult want = batch->best_single_move_warm(v);
+        expect_move_eq(move, want, true);
+        EXPECT_EQ(bits(move.cost), bits(want.cost)) << "step " << step;
+        EXPECT_EQ(bits(move.current_cost), bits(want.current_cost));
+      }
       for (int u = 0; u < n; ++u) {
         const std::vector<double>& a = serial.distances_warm(u);
-        const std::vector<double>& b = pooled.distances_warm(u);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t t = 0; t < a.size(); ++t)
-          ASSERT_EQ(bits(a[t]), bits(b[t])) << "step " << step << " agent " << u;
-        ASSERT_EQ(bits(serial.distance_cost_warm(u)),
-                  bits(pooled.distance_cost_warm(u)));
+        for (const DeviationEngine* other : {&pooled, &scanned}) {
+          const std::vector<double>& b = other->distances_warm(u);
+          ASSERT_EQ(a.size(), b.size());
+          for (std::size_t t = 0; t < a.size(); ++t)
+            ASSERT_EQ(bits(a[t]), bits(b[t]))
+                << "step " << step << " agent " << u;
+          ASSERT_EQ(bits(serial.distance_cost_warm(u)),
+                    bits(other->distance_cost_warm(u)));
+        }
       }
     }
   }
@@ -924,6 +946,171 @@ TEST(DeviationEngineScan, WarmProposalsByteIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+// --- warm passes: where stale rows are brought up to date ------------------
+
+std::uint64_t counter(Counter c) {
+  return instrument::thread_counters()[static_cast<std::size_t>(c)];
+}
+
+/// A euclidean host large enough (n >= 64) that an all-row warm pass clears
+/// the pool's serial cutoff and really dispatches.
+Game warm_game(int n, Rng& rng) {
+  return Game(HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0),
+              2.0);
+}
+
+/// Every row of `engine`, read through the const warm accessor (so nothing
+/// is repaired on read), must be bitwise a fresh engine's refill.
+void expect_warm_rows_match_fresh(const DeviationEngine& engine) {
+  DeviationEngine fresh(engine.game(), engine.profile());
+  fresh.warm_distances();
+  for (int u = 0; u < engine.game().node_count(); ++u) {
+    const std::vector<double>& got = engine.distances_warm(u);
+    const std::vector<double>& want = fresh.distances_warm(u);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t t = 0; t < got.size(); ++t)
+      ASSERT_EQ(bits(got[t]), bits(want[t])) << "agent " << u << " target "
+                                             << t;
+    ASSERT_EQ(bits(engine.distance_cost_warm(u)),
+              bits(fresh.distance_cost_warm(u)))
+        << "agent " << u;
+  }
+}
+
+TEST(DeviationEngineWarm, WarmEngineDispatchesNothing) {
+  const ThreadGuard guard;
+  set_default_thread_count(4);
+  Rng rng(1501);
+  const int n = 64;
+  const Game game = warm_game(n, rng);
+  DeviationEngine engine(game, random_profile(game, rng, 0.05));
+  // A fresh engine's rows are all unfilled: the first scan fans them out.
+  const std::uint64_t cold = counter(Counter::kPoolRegions);
+  const SingleMoveResult first = engine.best_single_move(7);
+  if (instrument::compiled_in())
+    EXPECT_GE(counter(Counter::kPoolRegions) - cold, 1u);
+
+  const std::uint64_t regions = counter(Counter::kPoolRegions);
+  const std::uint64_t hits = counter(Counter::kEngineCacheHits);
+  engine.warm_distances();
+  engine.warm_for_scan();
+  expect_scan_matches(engine.best_single_move(7), first, true);
+  engine.best_addition(11);
+  EXPECT_EQ(engine.has_improving_swap(11), engine.best_swap(11).improved);
+  if (instrument::compiled_in()) {
+    EXPECT_EQ(counter(Counter::kPoolRegions), regions);
+    // A warm pass at a current epoch serves no row, so it counts no hit.
+    EXPECT_EQ(counter(Counter::kEngineCacheHits), hits);
+  }
+}
+
+TEST(DeviationEngineWarm, SingleScanRepairsOnTheCallingThread) {
+  const ThreadGuard guard;
+  set_default_thread_count(4);
+  Rng rng(1503);
+  const int n = 64;
+  const Game game = warm_game(n, rng);
+  DeviationEngine engine(game, random_profile(game, rng, 0.05));
+  engine.warm_distances();
+  for (int step = 0; step < 12; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    const int u = static_cast<int>(rng.uniform_below(n));
+    const int v = random_owned(engine.profile(), u, rng);
+    if (step % 2 == 0 || v < 0 || engine.profile().buys(v, u)) {
+      int x = random_other(u, n, rng);
+      while (engine.profile().has_edge(u, x)) x = random_other(u, n, rng);
+      engine.add_buy(u, x);
+    } else {
+      engine.remove_buy(u, v);
+    }
+    const std::uint64_t regions = counter(Counter::kPoolRegions);
+    const std::uint64_t repairs = counter(Counter::kEngineRowRepairs);
+    engine.best_single_move(u);
+    if (instrument::compiled_in()) {
+      EXPECT_EQ(counter(Counter::kPoolRegions), regions);
+      // Thread-local counters: all n repairs ran on this thread.
+      EXPECT_EQ(counter(Counter::kEngineRowRepairs) - repairs,
+                static_cast<std::uint64_t>(n));
+    }
+    expect_warm_rows_match_fresh(engine);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(DeviationEngineWarm, FullRefillsStillFanOut) {
+  const ThreadGuard guard;
+  set_default_thread_count(4);
+  Rng rng(1507);
+  const int n = 64;
+  const Game game = warm_game(n, rng);
+  DeviationEngine engine(game, random_profile(game, rng, 0.05));
+  engine.warm_distances();
+
+  // set_profile resets the log floor: every row refills, over the pool.
+  engine.set_profile(random_profile(game, rng, 0.05));
+  std::uint64_t regions = counter(Counter::kPoolRegions);
+  engine.best_single_move(3);
+  if (instrument::compiled_in())
+    EXPECT_GE(counter(Counter::kPoolRegions) - regions, 1u);
+  expect_warm_rows_match_fresh(engine);
+  if (HasFatalFailure()) return;
+
+  // Rows staler than the edit log refill too.
+  for (std::size_t k = 0; k <= DeviationEngine::kEditLogCapacity; ++k)
+    toggle_one_edge(engine, rng);
+  regions = counter(Counter::kPoolRegions);
+  const std::uint64_t repairs = counter(Counter::kEngineRowRepairs);
+  EXPECT_EQ(engine.has_improving_single_move(5),
+            engine.best_single_move(5).improved);
+  if (instrument::compiled_in()) {
+    EXPECT_GE(counter(Counter::kPoolRegions) - regions, 1u);
+    EXPECT_EQ(counter(Counter::kEngineRowRepairs), repairs);
+  }
+  expect_warm_rows_match_fresh(engine);
+}
+
+TEST(DeviationEngineWarm, SetStrategiesInvalidatesTheWarmEpoch) {
+  const ThreadGuard guard;
+  set_default_thread_count(4);
+  Rng rng(1509);
+  const int n = 64;
+  const Game game = warm_game(n, rng);
+  DeviationEngine engine(game, random_profile(game, rng, 0.05));
+  engine.warm_distances();
+
+  // A batch that changes the built topology: the old warm epoch is gone,
+  // and the next warm pass brings every row current again.
+  std::vector<std::pair<int, NodeSet>> batch;
+  for (int u = 0; u < n; u += 9) {
+    NodeSet next = engine.profile().strategy(u);
+    int x = random_other(u, n, rng);
+    while (engine.profile().has_edge(u, x)) x = random_other(u, n, rng);
+    next.insert(x);
+    batch.emplace_back(u, std::move(next));
+  }
+  engine.set_strategies(batch);
+  EXPECT_THROW(engine.distances_warm(0), ContractViolation);
+  const std::uint64_t repairs = counter(Counter::kEngineRowRepairs);
+  engine.warm_for_scan();
+  if (instrument::compiled_in())
+    EXPECT_EQ(counter(Counter::kEngineRowRepairs) - repairs,
+              static_cast<std::uint64_t>(n));
+  expect_warm_rows_match_fresh(engine);
+  if (HasFatalFailure()) return;
+  DeviationEngine fresh(game, engine.profile());
+  for (int u = 0; u < n; u += 13)
+    expect_scan_matches(engine.best_single_move_warm(u),
+                        fresh.best_single_move(u), true);
+
+  // The same batch again changes nothing: the warm epoch stays current.
+  engine.set_strategies(batch);
+  const std::uint64_t regions = counter(Counter::kPoolRegions);
+  engine.warm_distances();
+  if (instrument::compiled_in())
+    EXPECT_EQ(counter(Counter::kPoolRegions), regions);
+  EXPECT_NO_THROW(engine.distances_warm(0));
 }
 
 }  // namespace
